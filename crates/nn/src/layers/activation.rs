@@ -57,13 +57,16 @@ impl Layer for ReLU {
                 },
             ));
         }
-        let mut grad_in = grad_out.clone();
-        for (g, &m) in grad_in.as_mut_slice().iter_mut().zip(mask.iter()) {
-            if !m {
-                *g = 0.0;
-            }
-        }
-        Ok(grad_in)
+        // One pass, no data-dependent branch: the mask widens to an
+        // all-ones/all-zeros bit pattern, so a masked-off element becomes
+        // exactly `+0.0` and a kept one keeps every bit of `g`.
+        let grad_in: Vec<f32> = grad_out
+            .as_slice()
+            .iter()
+            .zip(mask)
+            .map(|(&g, &m)| f32::from_bits(g.to_bits() & u32::from(m).wrapping_neg()))
+            .collect();
+        Tensor::from_vec(grad_in, grad_out.dims()).map_err(|e| NnError::tensor("relu", e))
     }
 }
 
@@ -90,6 +93,21 @@ mod tests {
             .unwrap();
         // Gradient passes only where input was strictly positive.
         assert_eq!(g.as_slice(), &[0.0, 5.0, 0.0]);
+    }
+
+    #[test]
+    fn backward_is_bitwise_select() {
+        let mut relu = ReLU::new();
+        let x = [-1.0, 2.0, 0.0, -0.0, 3.0, 1e-30, f32::NAN, 4.0];
+        relu.forward(&Tensor::from_slice(&x), Mode::Train).unwrap();
+        let g = [5.0, -0.0, -7.0, 1.0, f32::NAN, -2.5, 9.0, -0.0];
+        let got = relu.backward(&Tensor::from_slice(&g)).unwrap();
+        for ((&xi, &gi), &out) in x.iter().zip(&g).zip(got.as_slice()) {
+            // Kept elements keep every bit (NaN payloads and -0.0 too);
+            // masked ones are exactly +0.0.
+            let want = if xi > 0.0 { gi.to_bits() } else { 0 };
+            assert_eq!(out.to_bits(), want, "x={xi} g={gi}");
+        }
     }
 
     #[test]

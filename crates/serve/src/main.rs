@@ -63,8 +63,11 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         Some(dir) => Some(StageCache::at(dir)),
         None => StageCache::from_env(),
     };
-    if let (Some(c), Some(raw)) = (cache.take(), flag_value(args, "--cache-max-bytes")) {
-        cache = Some(match qce_store::parse_byte_budget(&raw) {
+    // Take the cache only once the flag is known to be present: a
+    // `take()` inside a tuple pattern would run (and drop the cache) even
+    // when the pattern then fails on a missing flag.
+    if let Some(raw) = flag_value(args, "--cache-max-bytes") {
+        cache = cache.map(|c| match qce_store::parse_byte_budget(&raw) {
             Some(bytes) => c.with_max_bytes(bytes),
             None => {
                 eprintln!("qce-serve: ignoring unparsable --cache-max-bytes {raw:?}");

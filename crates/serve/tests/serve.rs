@@ -357,6 +357,20 @@ fn typed_errors_for_bad_requests() {
         Some("bad_request")
     );
 
+    // A nesting bomb under the body cap is a typed error, not a stack
+    // overflow that takes the daemon down.
+    let bomb = "[".repeat(200_000);
+    let (status, body) =
+        http_request(&addr, "POST", "/v1/jobs", &[], Some(&bomb)).expect("bomb submit");
+    assert_eq!(status, 400, "{body}");
+    let doc = parse(&body).expect("error JSON");
+    assert_eq!(
+        field(field(&doc, "error"), "kind").as_str(),
+        Some("bad_request")
+    );
+    let (status, _) = http_request(&addr, "GET", "/healthz", &[], None).expect("still up");
+    assert_eq!(status, 200);
+
     // Unknown job and unknown route.
     let (status, _) = http_request(&addr, "GET", "/v1/jobs/999999", &[], None).expect("missing");
     assert_eq!(status, 404);

@@ -171,15 +171,29 @@ impl Default for ObjWriter {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts.
+///
+/// The parser recurses once per nesting level, so an unbounded depth
+/// would let a small hostile document (a few hundred kilobytes of `[`)
+/// overflow the stack and abort the process. Every document the
+/// workspace reads (scenarios, grids, reports, traces) nests well under
+/// a dozen levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one complete JSON document (with nothing but whitespace around
 /// it).
 ///
 /// # Errors
 ///
-/// Returns a position-annotated message for the first syntax error.
+/// Returns a position-annotated message for the first syntax error, or
+/// for nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<JsonValue, String> {
     let bytes = input.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -192,6 +206,8 @@ pub fn parse(input: &str) -> Result<JsonValue, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -229,8 +245,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -238,6 +254,23 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected byte at offset {}", self.pos)),
         }
+    }
+
+    /// Parses one container one level deeper, refusing past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at offset {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<JsonValue, String> {
@@ -420,6 +453,31 @@ mod tests {
         assert!(parse("{} garbage").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        // 200k open brackets (~200 KB) would overflow the stack of an
+        // uncapped recursive parser and abort the process.
+        let bomb = "[".repeat(200_000);
+        let err = parse(&bomb).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let bomb = "{\"a\":".repeat(200_000);
+        assert!(parse(&bomb).unwrap_err().contains("nesting deeper than"));
+
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
+        let over = format!("[{at_cap}]");
+        assert!(parse(&over).is_err());
+        // Depth is released on the way out: siblings do not add up.
+        let siblings = format!(
+            "[{at_cap_inner},{at_cap_inner}]",
+            at_cap_inner = {
+                let d = MAX_DEPTH - 1;
+                format!("{}{}", "[".repeat(d), "]".repeat(d))
+            }
+        );
+        assert!(parse(&siblings).is_ok());
     }
 
     #[test]

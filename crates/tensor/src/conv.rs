@@ -1,22 +1,33 @@
 //! 2-D convolution and pooling kernels with full backward passes.
 //!
 //! Layout convention is `NCHW` for activations and `OIHW` for convolution
-//! weights, matching the layer definitions in `qce-nn`. The convolution is
-//! implemented with an explicit im2col lowering followed by the blocked
-//! [`matmul`](crate::linalg::matmul) kernel, and the backward pass reverses
+//! weights, matching the layer definitions in `qce-nn`. The forward pass
+//! is an explicit im2col lowering followed by the blocked
+//! [`matmul`](crate::linalg::matmul) kernel; the input gradient reverses
 //! the lowering with a col2im scatter-add — the textbook formulation, easy
 //! to verify against finite differences (see the crate's property tests).
 //!
-//! Forward and backward are **batch-parallel**: samples are distributed
-//! over the [`crate::par::Pool`] (falling back to an in-sample parallel
-//! matmul when the batch is smaller than the pool), each worker reuses one
-//! im2col scratch buffer across its samples, and per-sample weight/bias
-//! gradients land in disjoint partial buffers that are reduced serially in
-//! ascending sample order — so gradients are bit-for-bit identical for
-//! every thread count.
+//! Forward and the input gradient are **batch-parallel**: samples are
+//! distributed over the [`crate::par::Pool`] (falling back to an
+//! in-sample parallel matmul when the batch is smaller than the pool) and
+//! each worker reuses its scratch buffers across its samples. The weight
+//! and bias gradients are **folded over the batch**: every sample's
+//! im2col matrix is gathered in `NR`-row panels, and [`simd::fold_dots`]
+//! sums every weight-gradient element over the samples in ascending
+//! order, with each sample's term computed exactly as the per-sample
+//! `g_s · colᵀ` dot product would. The pool splits that fold by panel
+//! (a disjoint set of weight-gradient columns per item), so no
+//! floating-point sum ever crosses a thread and gradients are
+//! bit-for-bit identical for every thread count and SIMD level.
 
 use crate::par::{self, Pool};
+use crate::simd::{FOLD_ROWS, NR};
 use crate::{linalg, simd, Result, Tensor, TensorError};
+
+/// Floats of gathered im2col columns one [`conv2d_backward_with`] work
+/// item holds at a time (128 KiB): a batch whose panel would need more is
+/// folded in chunks of whole samples.
+const PANEL_BUDGET: usize = 1 << 15;
 
 /// Stride/padding geometry of a convolution or pooling window.
 ///
@@ -90,11 +101,14 @@ fn check_rank4(op: &'static str, t: &Tensor) -> Result<()> {
     Ok(())
 }
 
-/// Lowers one `[C, H, W]` image (given as a flat slice) into an im2col
-/// matrix of shape `[C*kh*kw, ho*wo]`, stored row-major into `col`.
-#[allow(clippy::too_many_arguments)]
-fn im2col(
-    img: &[f32],
+/// The im2col lowering of one convolution: a `[C, H, W]` image, a
+/// `kh × kw` kernel and a `ho × wo` output grid.
+///
+/// Row `r = (ch·kh + ky)·kw + kx` of the `[C·kh·kw, ho·wo]` column matrix
+/// holds, for every output position, the input pixel kernel tap
+/// `(ch, ky, kx)` reads there (zero in the padding).
+#[derive(Debug, Clone, Copy)]
+struct Lowering {
     c: usize,
     h: usize,
     w: usize,
@@ -103,139 +117,154 @@ fn im2col(
     geom: ConvGeometry,
     ho: usize,
     wo: usize,
-    col: &mut [f32],
-) {
-    let pad = geom.padding as isize;
-    let stride = geom.stride;
-    debug_assert_eq!(col.len(), c * kh * kw * ho * wo);
-    if stride == 1 {
-        // Unit stride makes every output row a shifted window of one input
-        // row: zero-fill the out-of-image borders and bulk-copy the valid
-        // span instead of testing bounds per element. Pure data movement —
-        // the produced values are identical to the general path below.
-        let mut row = 0usize;
-        for ch in 0..c {
-            let img_ch = &img[ch * h * w..(ch + 1) * h * w];
-            for ky in 0..kh {
-                for kx in 0..kw {
-                    let out_row = &mut col[row * ho * wo..(row + 1) * ho * wo];
-                    let shift = kx as isize - pad; // ix = ox + shift
-                    let lo = (-shift).clamp(0, wo as isize) as usize;
-                    let hi = (w as isize - shift).clamp(lo as isize, wo as isize) as usize;
-                    for oy in 0..ho {
-                        let iy = oy as isize + ky as isize - pad;
-                        let dst = &mut out_row[oy * wo..(oy + 1) * wo];
-                        if iy < 0 || iy >= h as isize {
-                            dst.fill(0.0);
-                            continue;
-                        }
-                        dst[..lo].fill(0.0);
-                        if lo < hi {
-                            let src0 = iy as usize * w + (lo as isize + shift) as usize;
-                            dst[lo..hi].copy_from_slice(&img_ch[src0..src0 + (hi - lo)]);
-                        }
-                        dst[hi..].fill(0.0);
-                    }
-                    row += 1;
-                }
-            }
-        }
-        return;
-    }
-    let mut row = 0usize;
-    for ch in 0..c {
-        let img_ch = &img[ch * h * w..(ch + 1) * h * w];
-        for ky in 0..kh {
-            for kx in 0..kw {
-                let out_row = &mut col[row * ho * wo..(row + 1) * ho * wo];
-                let mut idx = 0usize;
-                for oy in 0..ho {
-                    let iy = (oy * stride) as isize + ky as isize - pad;
-                    for ox in 0..wo {
-                        let ix = (ox * stride) as isize + kx as isize - pad;
-                        out_row[idx] = if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
-                            img_ch[iy as usize * w + ix as usize]
-                        } else {
-                            0.0
-                        };
-                        idx += 1;
-                    }
-                }
-                row += 1;
-            }
-        }
-    }
 }
 
-/// Reverses [`im2col`]: scatter-adds a `[C*kh*kw, ho*wo]` column matrix back
-/// into a `[C, H, W]` image buffer.
-#[allow(clippy::too_many_arguments)]
-fn col2im(
-    col: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    geom: ConvGeometry,
-    ho: usize,
-    wo: usize,
-    img: &mut [f32],
-) {
-    let pad = geom.padding as isize;
-    let stride = geom.stride;
-    if stride == 1 {
-        // Mirror of the unit-stride im2col fast path: each (row, oy) pair
-        // touches a contiguous image span exactly once, so the scatter-add
-        // becomes one vectorised segment add per output row. Loop order —
-        // and therefore the accumulation order onto each image element —
-        // matches the general path exactly.
-        let mut row = 0usize;
-        for ch in 0..c {
-            let img_ch = &mut img[ch * h * w..(ch + 1) * h * w];
-            for ky in 0..kh {
-                for kx in 0..kw {
-                    let in_row = &col[row * ho * wo..(row + 1) * ho * wo];
-                    let shift = kx as isize - pad; // ix = ox + shift
-                    let lo = (-shift).clamp(0, wo as isize) as usize;
-                    let hi = (w as isize - shift).clamp(lo as isize, wo as isize) as usize;
-                    if lo < hi {
-                        for oy in 0..ho {
-                            let iy = oy as isize + ky as isize - pad;
-                            if iy < 0 || iy >= h as isize {
-                                continue;
-                            }
-                            let dst0 = iy as usize * w + (lo as isize + shift) as usize;
-                            simd::add_assign(
-                                &mut img_ch[dst0..dst0 + (hi - lo)],
-                                &in_row[oy * wo + lo..oy * wo + hi],
-                            );
-                        }
+impl Lowering {
+    /// Lowers `img` into the row-major column matrix `col`.
+    fn im2col(&self, img: &[f32], col: &mut [f32]) {
+        let Lowering {
+            h,
+            w,
+            kh,
+            kw,
+            geom,
+            ho,
+            wo,
+            ..
+        } = *self;
+        let pad = geom.padding as isize;
+        for (r, dst) in col.chunks_exact_mut(ho * wo).enumerate() {
+            let (ch, ky, kx) = (r / (kh * kw), r / kw % kh, r % kw);
+            let img_ch = &img[ch * h * w..(ch + 1) * h * w];
+            if geom.stride == 1 {
+                // Unit stride makes every output row a shifted window of
+                // one input row: zero-fill the out-of-image borders and
+                // bulk-copy the valid span instead of testing bounds per
+                // element. Pure data movement — the values are those of
+                // the general path.
+                let shift = kx as isize - pad; // ix = ox + shift
+                let lo = (-shift).clamp(0, wo as isize) as usize;
+                let hi = (w as isize - shift).clamp(lo as isize, wo as isize) as usize;
+                for (oy, d) in dst.chunks_exact_mut(wo).enumerate() {
+                    let iy = oy as isize + ky as isize - pad;
+                    if iy < 0 || iy >= h as isize {
+                        d.fill(0.0);
+                        continue;
                     }
-                    row += 1;
+                    d[..lo].fill(0.0);
+                    if lo < hi {
+                        let src0 = iy as usize * w + (lo as isize + shift) as usize;
+                        d[lo..hi].copy_from_slice(&img_ch[src0..src0 + (hi - lo)]);
+                    }
+                    d[hi..].fill(0.0);
+                }
+                continue;
+            }
+            for (oy, d) in dst.chunks_exact_mut(wo).enumerate() {
+                let iy = (oy * geom.stride) as isize + ky as isize - pad;
+                for (ox, v) in d.iter_mut().enumerate() {
+                    let ix = (ox * geom.stride) as isize + kx as isize - pad;
+                    *v = if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
+                        img_ch[iy as usize * w + ix as usize]
+                    } else {
+                        0.0
+                    };
                 }
             }
         }
-        return;
     }
-    let mut row = 0usize;
-    for ch in 0..c {
-        let img_ch = &mut img[ch * h * w..(ch + 1) * h * w];
-        for ky in 0..kh {
-            for kx in 0..kw {
-                let in_row = &col[row * ho * wo..(row + 1) * ho * wo];
-                let mut idx = 0usize;
-                for oy in 0..ho {
-                    let iy = (oy * stride) as isize + ky as isize - pad;
-                    for ox in 0..wo {
-                        let ix = (ox * stride) as isize + kx as isize - pad;
-                        if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
-                            img_ch[iy as usize * w + ix as usize] += in_row[idx];
-                        }
-                        idx += 1;
+
+    /// The column matrix in the packed panel layout of
+    /// [`simd::fold_dots`], as gather indices into the image:
+    /// `taps[(r / NR · ho·wo + t) · NR + r % NR]` is the flat index entry
+    /// `(r, t)` reads. Padding taps, and the lanes past the last row,
+    /// read index `c·h·w` — one past the image.
+    fn panel_taps(&self) -> Vec<u32> {
+        let Lowering {
+            c,
+            h,
+            w,
+            kh,
+            kw,
+            geom,
+            ho,
+            wo,
+        } = *self;
+        let index = |i: usize| u32::try_from(i).expect("image index fits in u32");
+        let pad = geom.padding as isize;
+        let mut taps = vec![index(c * h * w); (c * kh * kw).div_ceil(NR) * ho * wo * NR];
+        for r in 0..c * kh * kw {
+            let (ch, ky, kx) = (r / (kh * kw), r / kw % kh, r % kw);
+            let mut lane = taps[r / NR * ho * wo * NR + r % NR..]
+                .iter_mut()
+                .step_by(NR);
+            for oy in 0..ho {
+                let iy = (oy * geom.stride + ky) as isize - pad;
+                for (ox, tap) in lane.by_ref().take(wo).enumerate() {
+                    let ix = (ox * geom.stride + kx) as isize - pad;
+                    if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
+                        *tap = index((ch * h + iy as usize) * w + ix as usize);
                     }
                 }
-                row += 1;
+            }
+        }
+        taps
+    }
+
+    /// Reverses [`Lowering::im2col`]: scatter-adds the column matrix `col`
+    /// into the image buffer `img`.
+    fn col2im(&self, col: &[f32], img: &mut [f32]) {
+        let Lowering {
+            h,
+            w,
+            kh,
+            kw,
+            geom,
+            ho,
+            wo,
+            ..
+        } = *self;
+        let pad = geom.padding as isize;
+        for (r, src) in col.chunks_exact(ho * wo).enumerate() {
+            let (ch, ky, kx) = (r / (kh * kw), r / kw % kh, r % kw);
+            let img_ch = &mut img[ch * h * w..(ch + 1) * h * w];
+            if geom.stride == 1 {
+                // Mirror of the unit-stride lowering: each (row, oy) pair
+                // touches a contiguous image span exactly once, so the
+                // scatter-add becomes one segment add per output row — a
+                // plain loop, since at the 4×4 stage a segment is 3–4
+                // floats and a dispatched SIMD call costs more than the
+                // adds. The accumulation order onto each image element is
+                // that of the general path.
+                let shift = kx as isize - pad; // ix = ox + shift
+                let lo = (-shift).clamp(0, wo as isize) as usize;
+                let hi = (w as isize - shift).clamp(lo as isize, wo as isize) as usize;
+                if lo == hi {
+                    continue;
+                }
+                for (oy, s) in src.chunks_exact(wo).enumerate() {
+                    let iy = oy as isize + ky as isize - pad;
+                    if iy < 0 || iy >= h as isize {
+                        continue;
+                    }
+                    let dst0 = iy as usize * w + (lo as isize + shift) as usize;
+                    for (d, &v) in img_ch[dst0..dst0 + (hi - lo)].iter_mut().zip(&s[lo..hi]) {
+                        *d += v;
+                    }
+                }
+                continue;
+            }
+            for (oy, s) in src.chunks_exact(wo).enumerate() {
+                let iy = (oy * geom.stride) as isize + ky as isize - pad;
+                if iy < 0 || iy >= h as isize {
+                    continue;
+                }
+                for (ox, &v) in s.iter().enumerate() {
+                    let ix = (ox * geom.stride) as isize + kx as isize - pad;
+                    if ix >= 0 && ix < w as isize {
+                        img_ch[iy as usize * w + ix as usize] += v;
+                    }
+                }
             }
         }
     }
@@ -314,6 +343,16 @@ pub fn conv2d_with(
     }
     let ho = geom.output_extent(h, kh)?;
     let wo = geom.output_extent(w, kw)?;
+    let low = Lowering {
+        c,
+        h,
+        w,
+        kh,
+        kw,
+        geom,
+        ho,
+        wo,
+    };
 
     let csize = c * h * w;
     let osize = o * ho * wo;
@@ -337,7 +376,7 @@ pub fn conv2d_with(
         || vec![0.0f32; ckk * howo],
         |col, s, dst| {
             let img = &iv[s * csize..(s + 1) * csize];
-            im2col(img, c, h, w, kh, kw, geom, ho, wo, col);
+            low.im2col(img, col);
             linalg::matmul_into(inner, wv, col, dst, o, ckk, howo);
             if let Some(b) = bslice {
                 for (oc, &bv) in b.iter().enumerate() {
@@ -380,21 +419,25 @@ pub fn conv2d_backward(
 
 /// [`conv2d_backward`] on an explicit pool.
 ///
-/// Each sample writes its weight/bias contribution into a disjoint
-/// partial buffer; the partials are reduced serially in ascending sample
-/// order afterwards, so no floating-point sum ever crosses a thread
-/// boundary and gradients match the serial reference bit-for-bit.
+/// Two parallel passes:
 ///
-/// When [`Pool::effective_workers`] reports that the batch cannot
-/// actually run concurrently (a one-worker pool, a single detected core,
-/// or a single sample), the per-sample partial buffers are skipped
-/// entirely: one scratch gradient is accumulated in ascending sample
-/// order. That is the same left-fold the partial reduction performs —
-/// element `e` sees `((dw_0[e] + dw_1[e]) + dw_2[e]) + …` either way —
-/// so the lean path changes allocation and zeroing cost, never bits.
-/// (This fallback is what fixed the conv2d-backward slowdown the kernel
-/// bench used to show on few-core hosts: `N × O × C × kh × kw` partials
-/// were allocated, zeroed and re-read for a pool that ran inline.)
+/// 1. **Per sample**: the input gradient `col2im(Wᵀ·g_s)`.
+/// 2. **Per panel of `NR` im2col rows**: the panel of every sample is
+///    gathered into sample-major `NR`-wide columns (through one index
+///    table per call), and [`simd::fold_dots`] folds the batch into that
+///    panel's slice of the weight gradient, one 2-channel × 8-column tile
+///    at a time. The bias sums are shared out over the same items.
+///
+/// Every weight-gradient element is `((0 + d_0) + d_1) + … + d_{n-1}`,
+/// with `d_s` the [`simd::dot`] of row `oc` of `g_s` and row `r` of
+/// sample `s`'s im2col matrix, and every bias element is
+/// `((0 + Σ_0) + Σ_1) + …` over the in-order row sums — the per-sample
+/// `g_s · colᵀ` products added up in ascending sample order. The work
+/// partition only decides which thread computes an element, never its
+/// operations, so the gradients are bit-for-bit identical for every pool
+/// and SIMD level. A panel item folds the batch in chunks of whole
+/// samples so its gathered columns stay under a fixed 128 KiB; a running
+/// total carried across chunks keeps the same ascending order.
 ///
 /// # Errors
 ///
@@ -420,88 +463,93 @@ pub fn conv2d_backward_with(
             rhs: grad_out.dims().to_vec(),
         });
     }
+    let low = Lowering {
+        c,
+        h,
+        w,
+        kh,
+        kw,
+        geom,
+        ho,
+        wo,
+    };
 
     let ckk = c * kh * kw;
     let howo = ho * wo;
     let csize = c * h * w;
     let osize = o * howo;
-    let wv = weight.as_slice();
     let mut wmat_t = vec![0.0f32; o * ckk];
-    linalg::transpose_into(wv, &mut wmat_t, o, ckk);
+    linalg::transpose_into(weight.as_slice(), &mut wmat_t, o, ckk);
     let wmat_t = &wmat_t;
     let iv = input.as_slice();
     let gv = grad_out.as_slice();
 
     let mut grad_in = vec![0.0f32; n * csize];
-    let mut grad_w = vec![0.0f32; o * ckk];
-    let mut grad_b = vec![0.0f32; o];
     let serial = Pool::serial();
     let (outer, inner) = if n >= pool.threads() {
         (pool, &serial)
     } else {
         (&serial, pool)
     };
-    if outer.effective_workers(n) <= 1 {
-        // Lean inline path: no per-sample partials. One dW_s scratch is
-        // reused across samples and folded into grad_w/grad_b in
-        // ascending sample order — the identical reduction the partial
-        // buffers would have produced, without allocating or zeroing
-        // `n` of them.
-        let mut col = vec![0.0f32; ckk * howo];
-        let mut dcol = vec![0.0f32; ckk * howo];
-        let mut dw_s = vec![0.0f32; o * ckk];
-        for (s, gin) in grad_in.chunks_mut(csize).enumerate() {
-            let img = &iv[s * csize..(s + 1) * csize];
-            im2col(img, c, h, w, kh, kw, geom, ho, wo, &mut col);
-            let g_s = &gv[s * osize..(s + 1) * osize];
-            // dW_s = g_s · colᵀ — col rows are exactly the (col)ᵀ columns.
-            linalg::matmul_b_t_into(inner, g_s, &col, &mut dw_s, o, howo, ckk);
-            simd::add_assign(&mut grad_w, &dw_s);
-            for (oc, gb) in grad_b.iter_mut().enumerate() {
-                *gb += g_s[oc * howo..(oc + 1) * howo].iter().sum::<f32>();
-            }
-            // dInput_s via col2im(Wᵀ · g_s).
-            linalg::matmul_into(inner, wmat_t, g_s, &mut dcol, ckk, o, howo);
-            col2im(&dcol, c, h, w, kh, kw, geom, ho, wo, gin);
-        }
-        return Ok(Conv2dGrads {
-            input: Tensor::from_vec(grad_in, &[n, c, h, w])?,
-            weight: Tensor::from_vec(grad_w, &[o, c, kh, kw])?,
-            bias: Tensor::from_vec(grad_b, &[o])?,
-        });
-    }
-    let mut dw_part = vec![0.0f32; n * o * ckk];
-    let mut db_part = vec![0.0f32; n * o];
-    let items: Vec<(&mut [f32], &mut [f32], &mut [f32])> = grad_in
-        .chunks_mut(csize)
-        .zip(dw_part.chunks_mut(o * ckk))
-        .zip(db_part.chunks_mut(o))
-        .map(|((gin, dw), db)| (gin, dw, db))
-        .collect();
-    par::for_each_item(
+    par::for_each_chunk(
         outer,
-        items,
-        || (vec![0.0f32; ckk * howo], vec![0.0f32; ckk * howo]),
-        |(col, dcol), s, (gin, dw, db)| {
-            let img = &iv[s * csize..(s + 1) * csize];
-            im2col(img, c, h, w, kh, kw, geom, ho, wo, col);
+        &mut grad_in,
+        csize.max(1),
+        || vec![0.0f32; ckk * howo],
+        |dcol, s, gin| {
             let g_s = &gv[s * osize..(s + 1) * osize];
-            // dW_s = g_s · colᵀ — col rows are exactly the (col)ᵀ columns.
-            linalg::matmul_b_t_into(inner, g_s, col, dw, o, howo, ckk);
-            for (oc, gb) in db.iter_mut().enumerate() {
-                *gb = g_s[oc * howo..(oc + 1) * howo].iter().sum::<f32>();
-            }
-            // dInput_s via col2im(Wᵀ · g_s).
             linalg::matmul_into(inner, wmat_t, g_s, dcol, ckk, o, howo);
-            col2im(dcol, c, h, w, kh, kw, geom, ho, wo, gin);
+            low.col2im(dcol, gin);
         },
     );
 
-    for dw in dw_part.chunks_exact(o * ckk) {
-        simd::add_assign(&mut grad_w, dw);
-    }
-    for db in db_part.chunks_exact(o) {
-        simd::add_assign(&mut grad_b, db);
+    // dW, one `NR`-row im2col panel per work item, kept as that panel's
+    // `[O][NR]` slab of dWᵀ until the end.
+    let panels = ckk.div_ceil(NR);
+    let panel_len = howo * NR;
+    let taps = &low.panel_taps();
+    let chunk = (PANEL_BUDGET / panel_len.max(1)).clamp(1, n.max(1));
+    let mut slabs = vec![[0.0f32; NR]; panels * o];
+    // The bias sums ride along, a share of the channels per item.
+    let mut grad_b = vec![0.0f32; o];
+    let bias_rows = o.div_ceil(panels.max(1)).max(1);
+    let mut bias = grad_b.chunks_mut(bias_rows);
+    let items: Vec<(&mut [[f32; NR]], &mut [f32])> = slabs
+        .chunks_mut(o.max(1))
+        .map(|slab| (slab, bias.next().unwrap_or_default()))
+        .collect();
+    par::for_each_item(
+        pool,
+        items,
+        || vec![0.0f32; chunk.min(n) * panel_len],
+        |cols, p, (slab, db)| {
+            for (oc, gb) in (p * bias_rows..).zip(db.iter_mut()) {
+                for g_s in gv.chunks_exact(osize) {
+                    *gb += g_s[oc * howo..(oc + 1) * howo].iter().sum::<f32>();
+                }
+            }
+            let taps = &taps[p * panel_len..(p + 1) * panel_len];
+            for s0 in (0..n).step_by(chunk) {
+                let m = chunk.min(n - s0);
+                for (s, col) in (s0..).zip(cols.chunks_exact_mut(panel_len).take(m)) {
+                    let img = &iv[s * csize..(s + 1) * csize];
+                    for (d, &t) in col.iter_mut().zip(taps) {
+                        *d = img.get(t as usize).copied().unwrap_or(0.0);
+                    }
+                }
+                for (oc, tile) in (0..).step_by(FOLD_ROWS).zip(slab.chunks_mut(FOLD_ROWS)) {
+                    let a = &gv[s0 * osize + oc * howo..];
+                    simd::fold_dots(a, osize, cols, panel_len, howo, m, tile);
+                }
+            }
+        },
+    );
+    let mut grad_w = vec![0.0f32; o * ckk];
+    for (p, slab) in slabs.chunks_exact(o.max(1)).enumerate() {
+        let lanes = NR.min(ckk - p * NR);
+        for (row, tile) in grad_w.chunks_exact_mut(ckk).zip(slab) {
+            row[p * NR..p * NR + lanes].copy_from_slice(&tile[..lanes]);
+        }
     }
 
     Ok(Conv2dGrads {

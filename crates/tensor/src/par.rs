@@ -129,24 +129,6 @@ impl Pool {
     pub fn is_serial(&self) -> bool {
         self.threads == 1
     }
-
-    /// Workers that would actually run concurrently for `items` units of
-    /// work: the pool width, clamped by the item count and by the 1-core
-    /// inline fallback (see the module docs).
-    ///
-    /// Kernels use this to decide between their parallel decomposition
-    /// (per-item partial buffers, reduced in a fixed order) and a leaner
-    /// serial path that produces the same bytes without the partials —
-    /// on hosts where the pool cannot win, the amortized serial path is
-    /// strictly cheaper.
-    #[must_use]
-    pub fn effective_workers(&self, items: usize) -> usize {
-        if detected_cores() == 1 {
-            1
-        } else {
-            self.threads.min(items.max(1))
-        }
-    }
 }
 
 fn default_threads() -> usize {

@@ -1,11 +1,13 @@
 //! Runtime-dispatched SIMD micro-kernels with a bit-exact scalar fallback.
 //!
 //! Every hot inner loop of the compute backend (the 4×8 packed-panel
-//! matmul microkernel, the fused-transpose dot kernels, the im2col
-//! convolution segment ops and the bulk codebook ranking used by
-//! `qce-quant`) funnels through this module. Each kernel exists in two
-//! forms: a **scalar reference** (the exact code the workspace shipped
-//! before SIMD existed) and an **AVX2** variant selected once at startup
+//! matmul microkernel, the fused-transpose dot kernels, the batch-folded
+//! convolution weight-gradient tile, the convolution bias add and the
+//! bulk codebook ranking used by `qce-quant`) funnels through
+//! this module. Each kernel exists in two forms: a **scalar reference**
+//! (the exact code the workspace shipped before SIMD existed, or for
+//! later kernels the exact arithmetic of the code they replaced) and an
+//! **AVX2** variant selected once at startup
 //! via [`std::is_x86_feature_detected!`] and the `QCE_SIMD` environment
 //! variable (`off` | `auto` | `avx2`).
 //!
@@ -25,8 +27,11 @@
 //!   `(acc0 + acc1) + (acc2 + acc3)` plus a sequential tail; the AVX2
 //!   path accumulates into one 4-lane register (lane *j* holds partial
 //!   *j*) and extracts lanes for the exact same scalar combine.
-//! * Lane-parallel kernels ([`matmul_block`], [`axpy`], [`add_assign`],
-//!   [`add_scalar`], [`rank_count`]) never reduce across lanes at all:
+//!   [`fold_dots`] evaluates many such dots side by side: it keeps the
+//!   same four partials *per output lane* and combines each lane exactly
+//!   as `dot` does, so lane *l* of its result is `dot`'s bits.
+//! * Lane-parallel kernels ([`matmul_block`], [`axpy`], [`add_scalar`],
+//!   [`rank_count`]) never reduce across lanes at all:
 //!   each output element is produced by one lane running the scalar
 //!   recurrence, so vectorization is invisible in the bits.
 //!
@@ -246,17 +251,48 @@ fn matmul_block_scalar(a: &[f32], packed: &[f32], out: &mut [f32], k: usize, n: 
     }
 }
 
+/// Scalar [`fold_dots`]: for each sample, row and lane, [`dot_scalar`]'s
+/// four stride-4 partials and in-order tail, combined the same way and
+/// added to the running total in ascending sample order.
+fn fold_dots_scalar(
+    a: &[f32],
+    a_stride: usize,
+    b: &[f32],
+    b_stride: usize,
+    k: usize,
+    samples: usize,
+    acc: &mut [[f32; NR]],
+) {
+    let body = k - k % 4;
+    for s in 0..samples {
+        let bs = &b[s * b_stride..s * b_stride + k * NR];
+        for (i, tot) in acc.iter_mut().enumerate() {
+            let ar = &a[s * a_stride + i * k..s * a_stride + (i + 1) * k];
+            let mut part = [[0.0f32; NR]; 4];
+            for (t, &x) in ar[..body].iter().enumerate() {
+                let bt = &bs[t * NR..(t + 1) * NR];
+                for (p, &y) in part[t % 4].iter_mut().zip(bt) {
+                    *p += x * y;
+                }
+            }
+            let mut tail = [0.0f32; NR];
+            for (t, &x) in ar.iter().enumerate().skip(body) {
+                let bt = &bs[t * NR..(t + 1) * NR];
+                for (p, &y) in tail.iter_mut().zip(bt) {
+                    *p += x * y;
+                }
+            }
+            for l in 0..NR {
+                tot[l] += (part[0][l] + part[1][l]) + (part[2][l] + part[3][l]) + tail[l];
+            }
+        }
+    }
+}
+
 /// Scalar [`axpy`].
 fn axpy_scalar(x: f32, src: &[f32], dst: &mut [f32]) {
     for (d, &s) in dst.iter_mut().zip(src) {
         *d += x * s;
-    }
-}
-
-/// Scalar [`add_assign`].
-fn add_assign_scalar(dst: &mut [f32], src: &[f32]) {
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d += s;
     }
 }
 
@@ -394,6 +430,72 @@ mod x86 {
         }
     }
 
+    /// AVX2 [`super::fold_dots`] over `R` rows: per row, four YMM partial
+    /// registers (lane *l* of register *j* = the scalar partial *j* of
+    /// output lane *l*) and one tail register, combined as
+    /// `((p0 + p1) + (p2 + p3)) + tail` and added to the running total —
+    /// the scalar kernel with each 8-wide lane loop collapsed into one
+    /// lane operation.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2, `acc.len()` must be `R`, and the
+    /// operands must pass [`super::check_fold`] for `samples` and `R`
+    /// rows: every A and B offset read is then in bounds.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn fold_dots<const R: usize>(
+        a: &[f32],
+        a_stride: usize,
+        b: &[f32],
+        b_stride: usize,
+        k: usize,
+        samples: usize,
+        acc: &mut [[f32; NR]],
+    ) {
+        debug_assert_eq!(acc.len(), R);
+        let mut tot = [_mm256_setzero_ps(); R];
+        for (t, row) in tot.iter_mut().zip(acc.iter()) {
+            *t = _mm256_loadu_ps(row.as_ptr());
+        }
+        let body = k - k % 4;
+        for s in 0..samples {
+            let ap = a.as_ptr().add(s * a_stride);
+            let bp = b.as_ptr().add(s * b_stride);
+            let mut part = [[_mm256_setzero_ps(); 4]; R];
+            let mut t = 0usize;
+            while t < body {
+                for j in 0..4 {
+                    let bv = _mm256_loadu_ps(bp.add((t + j) * NR));
+                    for (i, p) in part.iter_mut().enumerate() {
+                        let x = _mm256_broadcast_ss(&*ap.add(i * k + t + j));
+                        p[j] = _mm256_add_ps(p[j], _mm256_mul_ps(x, bv));
+                    }
+                }
+                t += 4;
+            }
+            let mut tail = [_mm256_setzero_ps(); R];
+            while t < k {
+                let bv = _mm256_loadu_ps(bp.add(t * NR));
+                for (i, tl) in tail.iter_mut().enumerate() {
+                    let x = _mm256_broadcast_ss(&*ap.add(i * k + t));
+                    *tl = _mm256_add_ps(*tl, _mm256_mul_ps(x, bv));
+                }
+                t += 1;
+            }
+            for i in 0..R {
+                let [p0, p1, p2, p3] = part[i];
+                let d = _mm256_add_ps(
+                    _mm256_add_ps(_mm256_add_ps(p0, p1), _mm256_add_ps(p2, p3)),
+                    tail[i],
+                );
+                tot[i] = _mm256_add_ps(tot[i], d);
+            }
+        }
+        for (t, row) in tot.iter().zip(acc.iter_mut()) {
+            _mm256_storeu_ps(row.as_mut_ptr(), *t);
+        }
+    }
+
     /// Stores the first `w` lanes of `acc` to `out` (full 8-lane store
     /// when the panel is not column-clipped).
     ///
@@ -428,22 +530,6 @@ mod x86 {
         }
         for j in i..n {
             dst[j] += x * src[j];
-        }
-    }
-
-    /// AVX2 [`super::add_assign`].
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn add_assign(dst: &mut [f32], src: &[f32]) {
-        let n = dst.len().min(src.len());
-        let mut i = 0usize;
-        while i + 8 <= n {
-            let d = _mm256_loadu_ps(dst.as_ptr().add(i));
-            let s = _mm256_loadu_ps(src.as_ptr().add(i));
-            _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_add_ps(d, s));
-            i += 8;
-        }
-        for j in i..n {
-            dst[j] += src[j];
         }
     }
 
@@ -532,6 +618,84 @@ pub fn matmul_block(a: &[f32], packed: &[f32], out: &mut [f32], k: usize, n: usi
     matmul_block_scalar(a, packed, out, k, n);
 }
 
+/// Rows one [`fold_dots`] call covers at most: with four partial
+/// registers plus a tail per row, two rows keep the AVX2 tile in the
+/// sixteen YMM registers.
+pub const FOLD_ROWS: usize = 2;
+
+/// Checks that every A and B offset [`fold_dots`] reads is in bounds.
+fn check_fold(
+    a: &[f32],
+    a_stride: usize,
+    b: &[f32],
+    b_stride: usize,
+    k: usize,
+    samples: usize,
+    rows: usize,
+) {
+    assert!(
+        (1..=FOLD_ROWS).contains(&rows),
+        "fold_dots: {rows} rows (1..={FOLD_ROWS})"
+    );
+    let Some(last) = samples.checked_sub(1) else {
+        return;
+    };
+    // Checked arithmetic: an overflowing offset must fail the check, not
+    // wrap past it.
+    let end = |stride: usize, extent: Option<usize>| {
+        last.checked_mul(stride)
+            .zip(extent)
+            .and_then(|(start, extent)| start.checked_add(extent))
+    };
+    assert!(
+        end(a_stride, rows.checked_mul(k)).is_some_and(|e| e <= a.len())
+            && end(b_stride, k.checked_mul(NR)).is_some_and(|e| e <= b.len()),
+        "fold_dots: operands too short for {samples} samples"
+    );
+}
+
+/// Batch-folded dot products over one `NR`-wide panel.
+///
+/// For every sample `s`, row `i < acc.len()` (at most [`FOLD_ROWS`]) and
+/// lane `l`, adds `dot(a_s[i], b_s[.., l])` to `acc[i][l]`, samples in
+/// ascending order (`s < samples`), where
+/// `a_s[i] = a[s·a_stride + i·k ..][..k]` and
+/// `b_s[t, l] = b[s·b_stride + t·NR + l]`. Each dot `d_s` is [`dot`]'s
+/// exact arithmetic — four stride-4 partials combined as
+/// `(p0 + p1) + (p2 + p3)`, plus the in-order tail — so
+/// `acc[i][l] = ((acc[i][l] + d_0) + d_1) + …` bit for bit at every
+/// level.
+///
+/// # Panics
+///
+/// Panics if `acc` has no rows or more than [`FOLD_ROWS`], or if `a` or
+/// `b` is too short for `samples` samples.
+pub fn fold_dots(
+    a: &[f32],
+    a_stride: usize,
+    b: &[f32],
+    b_stride: usize,
+    k: usize,
+    samples: usize,
+    acc: &mut [[f32; NR]],
+) {
+    check_fold(a, a_stride, b, b_stride, k, samples, acc.len());
+    #[cfg(target_arch = "x86_64")]
+    if active() == Level::Avx2 {
+        // SAFETY: AVX2 presence established by detect(); `check_fold`
+        // bounded every A and B offset the kernel reads.
+        unsafe {
+            if acc.len() == FOLD_ROWS {
+                x86::fold_dots::<FOLD_ROWS>(a, a_stride, b, b_stride, k, samples, acc);
+            } else {
+                x86::fold_dots::<1>(a, a_stride, b, b_stride, k, samples, acc);
+            }
+        }
+        return;
+    }
+    fold_dots_scalar(a, a_stride, b, b_stride, k, samples, acc);
+}
+
 /// `dst[i] += x * src[i]` over `min(len)` elements (separate multiply and
 /// add roundings, per element — never fused).
 pub fn axpy(x: f32, src: &[f32], dst: &mut [f32]) {
@@ -542,17 +706,6 @@ pub fn axpy(x: f32, src: &[f32], dst: &mut [f32]) {
         return;
     }
     axpy_scalar(x, src, dst);
-}
-
-/// `dst[i] += src[i]` over `min(len)` elements.
-pub fn add_assign(dst: &mut [f32], src: &[f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if active() == Level::Avx2 {
-        // SAFETY: see `dot`.
-        unsafe { x86::add_assign(dst, src) };
-        return;
-    }
-    add_assign_scalar(dst, src);
 }
 
 /// `dst[i] += c` over every element.
@@ -680,25 +833,67 @@ mod tests {
     }
 
     #[test]
+    fn fold_dots_is_a_left_fold_of_dots_at_every_level() {
+        // k covers every dot remainder class and the 8-wide body; the
+        // strides leave gaps so stray reads would pick up wrong values.
+        for k in 1..=2 * NR + 1 {
+            for rows in 1..=FOLD_ROWS {
+                let samples = 3;
+                let (a_stride, b_stride) = (rows * k + 5, k * NR + 3);
+                let a = seeded(samples * a_stride, k as u64);
+                let b = seeded(samples * b_stride, k as u64 ^ 0x3c);
+                let start = seeded(rows * NR, k as u64 ^ 0x5a);
+                let mut want = vec![[0.0f32; NR]; rows];
+                for (i, w) in want.iter_mut().enumerate() {
+                    for (l, w) in w.iter_mut().enumerate() {
+                        *w = start[i * NR + l];
+                        for s in 0..samples {
+                            let ar = &a[s * a_stride + i * k..s * a_stride + (i + 1) * k];
+                            let col: Vec<f32> =
+                                (0..k).map(|t| b[s * b_stride + t * NR + l]).collect();
+                            *w += dot_scalar(ar, &col);
+                        }
+                    }
+                }
+                with_each_level(|level| {
+                    let mut acc = vec![[0.0f32; NR]; rows];
+                    for (i, row) in acc.iter_mut().enumerate() {
+                        row.copy_from_slice(&start[i * NR..(i + 1) * NR]);
+                    }
+                    fold_dots(&a, a_stride, &b, b_stride, k, samples, &mut acc);
+                    let got: Vec<u32> = acc.iter().flatten().map(|v| v.to_bits()).collect();
+                    let exp: Vec<u32> = want.iter().flatten().map(|v| v.to_bits()).collect();
+                    assert_eq!(got, exp, "k={k} rows={rows} level={}", level.name());
+                });
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "operands too short")]
+    fn fold_dots_rejects_short_operands() {
+        let a = vec![0.0f32; 7];
+        let b = vec![0.0f32; 4 * NR];
+        let mut acc = [[0.0f32; NR]; 2];
+        fold_dots(&a, 4, &b, 0, 4, 1, &mut acc);
+    }
+
+    #[test]
     fn elementwise_kernels_agree_bitwise() {
         for len in [1, 7, 8, 9, 15, 16, 17, 100] {
             let src = seeded(len, len as u64 ^ 0x11);
             let base = seeded(len, len as u64 ^ 0x22);
             let mut axpys: Vec<Vec<u32>> = Vec::new();
-            let mut adds: Vec<Vec<u32>> = Vec::new();
             let mut scalars: Vec<Vec<u32>> = Vec::new();
             with_each_level(|_| {
                 let mut d = base.clone();
                 axpy(0.37, &src, &mut d);
                 axpys.push(d.iter().map(|v| v.to_bits()).collect());
                 let mut d = base.clone();
-                add_assign(&mut d, &src);
-                adds.push(d.iter().map(|v| v.to_bits()).collect());
-                let mut d = base.clone();
                 add_scalar(&mut d, -1.25);
                 scalars.push(d.iter().map(|v| v.to_bits()).collect());
             });
-            for series in [&axpys, &adds, &scalars] {
+            for series in [&axpys, &scalars] {
                 assert!(series.windows(2).all(|w| w[0] == w[1]), "len={len}");
             }
         }
