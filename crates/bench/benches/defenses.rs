@@ -73,9 +73,9 @@ fn roster() -> Vec<(&'static str, DefensePlan)> {
 fn sweep(trained: &mut TrainedAttack, extra: impl Fn(&TrainedAttack) -> String) {
     for (name, plan) in roster() {
         let report = trained
-            .evaluate_defended(None, &plan, name.to_string())
+            .probe(None, &plan, name.to_string(), None)
             .expect("defended evaluation failed");
-        // `evaluate_defended` restores the float state afterwards; re-apply
+        // `probe` restores the float state afterwards; re-apply
         // the defense so channel-specific extras can probe the weights.
         trained
             .defend_in_place(&plan, name.to_string())

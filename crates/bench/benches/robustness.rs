@@ -10,8 +10,9 @@
 //! it can, reporting per-image status instead of failing outright.
 
 use qce::{AttackFlow, BandRule, QuantConfig, QuantMethod};
-use qce::{FaultKind, FaultPlan, FlowConfig, Grouping};
+use qce::{FlowConfig, Grouping};
 use qce_bench::{banner, base_config, cifar_rgb};
+use qce_defense::{FaultKind, FaultPlan};
 
 fn main() {
     banner(

@@ -2,11 +2,9 @@ use std::fmt;
 
 use qce_attack::AttackError;
 use qce_data::DataError;
-use qce_defense::DefenseError;
+use qce_defense::TransformError;
 use qce_nn::NnError;
 use qce_quant::QuantError;
-
-use crate::faults::FaultError;
 
 /// Error type for the end-to-end attack flow.
 #[derive(Debug)]
@@ -20,10 +18,8 @@ pub enum FlowError {
     Attack(AttackError),
     /// Quantization or fine-tuning failed.
     Quant(QuantError),
-    /// Fault injection on a release failed.
-    Faults(FaultError),
-    /// A data-holder countermeasure failed.
-    Defense(DefenseError),
+    /// A release transform (fault or defense plan) failed.
+    Transform(TransformError),
     /// The flow configuration is inconsistent.
     InvalidConfig {
         /// Why the configuration is rejected.
@@ -38,8 +34,7 @@ impl fmt::Display for FlowError {
             FlowError::Nn(e) => write!(f, "training stage failed: {e}"),
             FlowError::Attack(e) => write!(f, "attack stage failed: {e}"),
             FlowError::Quant(e) => write!(f, "quantization stage failed: {e}"),
-            FlowError::Faults(e) => write!(f, "fault injection failed: {e}"),
-            FlowError::Defense(e) => write!(f, "defense stage failed: {e}"),
+            FlowError::Transform(e) => write!(f, "release transform failed: {e}"),
             FlowError::InvalidConfig { reason } => write!(f, "invalid flow config: {reason}"),
         }
     }
@@ -52,8 +47,7 @@ impl std::error::Error for FlowError {
             FlowError::Nn(e) => Some(e),
             FlowError::Attack(e) => Some(e),
             FlowError::Quant(e) => Some(e),
-            FlowError::Faults(e) => Some(e),
-            FlowError::Defense(e) => Some(e),
+            FlowError::Transform(e) => Some(e),
             FlowError::InvalidConfig { .. } => None,
         }
     }
@@ -83,15 +77,9 @@ impl From<QuantError> for FlowError {
     }
 }
 
-impl From<FaultError> for FlowError {
-    fn from(e: FaultError) -> Self {
-        FlowError::Faults(e)
-    }
-}
-
-impl From<DefenseError> for FlowError {
-    fn from(e: DefenseError) -> Self {
-        FlowError::Defense(e)
+impl From<TransformError> for FlowError {
+    fn from(e: TransformError) -> Self {
+        FlowError::Transform(e)
     }
 }
 
@@ -110,13 +98,14 @@ mod tests {
         }
         .into();
         assert!(matches!(e, FlowError::Nn(_)));
-        let e: FlowError = FaultError::InvalidFault {
+        let e: FlowError = TransformError::Invalid {
+            role: "fault",
             reason: "z".to_string(),
         }
         .into();
-        assert!(matches!(e, FlowError::Faults(_)));
+        assert!(matches!(e, FlowError::Transform(_)));
         assert!(e.source().is_some());
-        assert!(e.to_string().contains("fault injection"));
+        assert_eq!(e.to_string(), "release transform failed: invalid fault: z");
     }
 
     #[test]

@@ -2,7 +2,7 @@ use qce_attack::correlation::{correlation, SignConvention};
 use qce_attack::statsign::{StatSignDecoder, StatSignLayout, StatSignRegularizer};
 use qce_attack::{CorrelationRegularizer, DecodedImage, Decoder, EncodingLayout};
 use qce_data::{Dataset, Image};
-use qce_defense::{DefenseContext, DefensePlan};
+use qce_defense::{DefenseContext, DefensePlan, Plan, Transform};
 use qce_metrics::{mape, ssim};
 use qce_nn::{accuracy, Network, NetworkSnapshot, Regularizer, TrainingHistory};
 use qce_quant::{
@@ -14,7 +14,6 @@ use qce_telemetry::{RunManifest, StageStat};
 use qce_tensor::Tensor;
 use std::time::Instant;
 
-use crate::faults::FaultPlan;
 use crate::step::FlowMachine;
 use crate::store_io;
 use crate::{
@@ -558,57 +557,45 @@ impl TrainedAttack {
         Ok(qnet.compression_ratio())
     }
 
-    /// Evaluates a *faulted* release: restores the float state, optionally
-    /// quantizes with `qcfg`, applies `plan` to whatever is being released
-    /// (the packed index stream for quantized releases, raw weights
-    /// otherwise), then measures task accuracy and resilient extraction
-    /// quality. The float state is restored before returning.
+    /// Probes a perturbed release without keeping it: restores the float
+    /// state, quantizes with `qcfg` (`None` probes the float release),
+    /// applies `plan` — a [`FaultPlan`](qce_defense::FaultPlan) to the
+    /// packed index stream of a quantized release or to the raw weights
+    /// of a float one, a [`DefensePlan`] to the released weights — and
+    /// measures task accuracy plus resilient extraction quality. The
+    /// float state is restored before returning, so one trained model
+    /// serves any number of probes.
+    ///
+    /// With `cache = Some((cache, cache_hash))`, where `cache_hash` is the
+    /// flow's stage-cache hash ([`FlowMachine::cache_hash`]), the report
+    /// is memoized under a key that extends `cache_hash` over the plan's
+    /// role, `qcfg` and the plan's canonical JSON — none of which the
+    /// flow configuration implies.
     ///
     /// # Errors
     ///
-    /// Propagates quantization, fault-application or evaluation errors.
-    pub fn evaluate_faulted(
+    /// Propagates quantization, plan-application or evaluation errors.
+    pub fn probe<K: Transform>(
         &mut self,
         qcfg: Option<QuantConfig>,
-        plan: &FaultPlan,
+        plan: &Plan<K>,
         label: String,
+        cache: Option<(&StageCache, u64)>,
     ) -> Result<FaultedReport> {
-        let result = self.evaluate_faulted_inner(qcfg, plan, label);
-        self.restore_float()?;
-        result
-    }
-
-    /// [`TrainedAttack::evaluate_faulted`] through `cache` when one is
-    /// attached. The fault plan and the applied quantizer are *not* part
-    /// of the flow configuration, so the key hash extends `cache_hash`
-    /// over both — two sweep cells probing different plans (or bit
-    /// widths) over the same trained model never collide on a cache
-    /// entry. The float state is restored before returning either way.
-    ///
-    /// # Errors
-    ///
-    /// Propagates quantization, fault-application or evaluation errors.
-    pub fn evaluate_faulted_cached(
-        &mut self,
-        qcfg: Option<QuantConfig>,
-        plan: &FaultPlan,
-        label: String,
-        cache: Option<&StageCache>,
-        cache_hash: u64,
-        level: qce_telemetry::Level,
-    ) -> Result<FaultedReport> {
-        let Some(cache) = cache else {
-            return self.evaluate_faulted(qcfg, plan, label);
+        let Some((cache, cache_hash)) = cache else {
+            let result = self.probe_release(qcfg, plan, label);
+            self.restore_float()?;
+            return result;
         };
-        let hash = store_io::fault_cache_hash(cache_hash, qcfg, plan);
-        let key = CacheKey::new(hash, self.config.seed, "faulted");
+        let hash = store_io::transform_cache_hash(cache_hash, qcfg, plan);
+        let key = CacheKey::new(hash, self.config.seed, "probe");
         if let Some(artifact) = cache.load(&key) {
             let decoded = artifact
                 .require(store_io::FAULTED_REPORT)
                 .and_then(store_io::faulted_from_bytes);
             match decoded {
                 Ok(report) if report.label == label => {
-                    log_cache_hit(level, &key.stage);
+                    log_cache_hit(narration_level(&self.config), &key.stage);
                     return Ok(report);
                 }
                 Ok(report) => note_payload_corrupt(
@@ -618,7 +605,7 @@ impl TrainedAttack {
                 Err(e) => note_payload_corrupt(&key.stage, &e),
             }
         }
-        let report = self.evaluate_faulted(qcfg, plan, label)?;
+        let report = self.probe(qcfg, plan, label, None)?;
         let mut artifact = Artifact::new();
         artifact.push(
             store_io::FAULTED_REPORT,
@@ -628,20 +615,19 @@ impl TrainedAttack {
         Ok(report)
     }
 
-    fn evaluate_faulted_inner(
+    fn probe_release<K: Transform>(
         &mut self,
         qcfg: Option<QuantConfig>,
-        plan: &FaultPlan,
+        plan: &Plan<K>,
         label: String,
     ) -> Result<FaultedReport> {
         self.restore_float()?;
-        match qcfg {
-            Some(qcfg) => {
-                let (_, mut qnet) = self.quantize_in_place(qcfg)?;
-                plan.apply_to_quantized(&mut qnet, &mut self.network)?;
-            }
-            None => plan.apply_to_network(&mut self.network)?,
-        }
+        let mut qnet = match qcfg {
+            Some(qcfg) => Some(self.quantize_in_place(qcfg)?.1),
+            None => None,
+        };
+        let ctx = DefenseContext::with_data(&self.train_x, &self.train_y, self.config.batch_size);
+        K::apply_release(plan, &mut self.network, qnet.as_mut(), &ctx)?;
         self.resilient_report(label)
     }
 
@@ -695,8 +681,9 @@ impl TrainedAttack {
 
     /// Applies `plan` to the network's *current* (released) state and
     /// evaluates the defended release. Leaves the network defended — this
-    /// is the data holder's release path, not a what-if probe; use
-    /// [`TrainedAttack::evaluate_defended`] for repeatable sweeps.
+    /// is the data holder's release path (the [`FlowMachine`] defend
+    /// step), not a what-if probe; use [`TrainedAttack::probe`] for
+    /// repeatable sweeps.
     ///
     /// # Errors
     ///
@@ -725,39 +712,6 @@ impl TrainedAttack {
         Ok(report)
     }
 
-    /// Evaluates a *defended* release: restores the float state,
-    /// optionally quantizes with `qcfg`, applies `plan` to the would-be
-    /// release, and measures task accuracy plus resilient extraction
-    /// quality. The float state is restored before returning, so defense
-    /// sweeps can reuse one trained model.
-    ///
-    /// # Errors
-    ///
-    /// Propagates quantization, defense-application or evaluation errors.
-    pub fn evaluate_defended(
-        &mut self,
-        qcfg: Option<QuantConfig>,
-        plan: &DefensePlan,
-        label: String,
-    ) -> Result<FaultedReport> {
-        let result = self.evaluate_defended_inner(qcfg, plan, label);
-        self.restore_float()?;
-        result
-    }
-
-    fn evaluate_defended_inner(
-        &mut self,
-        qcfg: Option<QuantConfig>,
-        plan: &DefensePlan,
-        label: String,
-    ) -> Result<FaultedReport> {
-        self.restore_float()?;
-        if let Some(qcfg) = qcfg {
-            self.quantize_in_place(qcfg)?;
-        }
-        self.defend_in_place(plan, label)
-    }
-
     /// Runs the defense stage through the cache when one is attached: a
     /// hit loads the defended network and its report instead of re-running
     /// the countermeasures. Leaves the network defended either way.
@@ -772,7 +726,8 @@ impl TrainedAttack {
         let Some(cache) = cache else {
             return self.defend_in_place(plan, label);
         };
-        let key = CacheKey::new(cache_hash, self.config.seed, "defend");
+        let hash = store_io::transform_cache_hash(cache_hash, self.config.quant, plan);
+        let key = CacheKey::new(hash, self.config.seed, "defend");
         if let Some(artifact) = cache.load(&key) {
             match self.load_defended_state(&artifact) {
                 Ok(report) if report.label == label => {
@@ -824,24 +779,24 @@ impl TrainedAttack {
         Ok(report)
     }
 
-    /// Sweeps `plan` over severity factors (each point evaluates
-    /// [`TrainedAttack::evaluate_faulted`] on `plan.scaled(severity)`) —
-    /// the raw material of the robustness tables. Pass severities in
-    /// ascending order if you intend to check monotonicity.
+    /// Sweeps `plan` over severity factors (each point is an uncached
+    /// [`TrainedAttack::probe`] of `plan.scaled(severity)`) — the raw
+    /// material of the robustness tables. Pass severities in ascending
+    /// order if you intend to check monotonicity.
     ///
     /// # Errors
     ///
     /// Propagates the first failing evaluation.
-    pub fn robustness_sweep(
+    pub fn robustness_sweep<K: Transform>(
         &mut self,
         qcfg: Option<QuantConfig>,
-        plan: &FaultPlan,
+        plan: &Plan<K>,
         severities: &[f32],
     ) -> Result<RobustnessReport> {
         let mut points = Vec::with_capacity(severities.len());
         for &severity in severities {
             let scaled = plan.scaled(severity);
-            let rep = self.evaluate_faulted(qcfg, &scaled, format!("severity {severity}"))?;
+            let rep = self.probe(qcfg, &scaled, format!("severity {severity}"), None)?;
             points.push(RobustnessPoint {
                 severity,
                 accuracy: rep.accuracy,
@@ -1003,6 +958,16 @@ impl TrainedAttack {
         };
         let decoder = Decoder::new(layout.clone(), self.config.sign);
         Ok(decoder.decode(&self.network.flat_weights())?)
+    }
+}
+
+/// Narration level of a flow's cache-hit lines (progress only when
+/// verbose).
+pub(crate) fn narration_level(config: &FlowConfig) -> qce_telemetry::Level {
+    if config.verbose {
+        qce_telemetry::Level::Progress
+    } else {
+        qce_telemetry::Level::Debug
     }
 }
 
@@ -1287,7 +1252,7 @@ mod tests {
             mode: RotationMode::Permute,
         });
         let rep = trained
-            .evaluate_defended(None, &plan, "rotated".to_string())
+            .probe(None, &plan, "rotated".to_string(), None)
             .unwrap();
         assert!(!rep.images.is_empty());
         assert!(

@@ -26,10 +26,10 @@
 //!   recognized-image counts, group correlations, compression ratio.
 //! * [`audit`] — the defender's view: distribution-level heuristics that
 //!   flag correlation-encoded weight tensors.
-//! * [`faults`] / [`RobustnessReport`] — seeded fault injection on the
-//!   released model (bit flips in the packed index stream, noise, pruning,
-//!   centroid jitter, fine-tune drift) plus severity sweeps measuring how
-//!   gracefully the resilient decoder degrades.
+//! * [`TrainedAttack::probe`] / [`RobustnessReport`] — what-if releases:
+//!   quantize, apply a seeded [`qce_defense::Plan`] (adversarial faults
+//!   or data-holder defenses), and measure how gracefully the resilient
+//!   decoder degrades, at one severity or swept over many.
 //!
 //! # Examples
 //!
@@ -60,15 +60,12 @@ mod step;
 mod store_io;
 
 pub mod audit;
-pub mod defense;
-pub mod faults;
 
 pub use config::{
     Architecture, BandRule, EncodingChannel, FlowConfig, Grouping, LambdaSchedule, QuantConfig,
     QuantMethod,
 };
 pub use error::FlowError;
-pub use faults::{FaultError, FaultKind, FaultPlan};
 pub use flow::{AttackFlow, FlowOutcome, QuantizedRelease, TrainedAttack};
 pub use qce_attack::correlation::SignConvention;
 pub use qce_attack::ImageStatus;

@@ -234,7 +234,7 @@ fn mean_of(values: impl Iterator<Item = f32>) -> Option<f32> {
 /// One severity step of a robustness sweep.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RobustnessPoint {
-    /// The severity factor the base [`FaultPlan`](crate::FaultPlan) was
+    /// The severity factor the base [`Plan`](qce_defense::Plan) was
     /// scaled by.
     pub severity: f32,
     /// Task accuracy of the faulted release.

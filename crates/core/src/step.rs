@@ -202,11 +202,7 @@ impl FlowMachine {
             });
         }
         let cache_hash = store_io::flow_cache_hash(&config, &dataset);
-        let level = if config.verbose {
-            qce_telemetry::Level::Progress
-        } else {
-            qce_telemetry::Level::Debug
-        };
+        let level = crate::flow::narration_level(&config);
         Ok(FlowMachine {
             config,
             dataset: Some(dataset),
@@ -244,9 +240,9 @@ impl FlowMachine {
 
     /// The stage-cache key hash derived from the configuration and the
     /// dataset — the `config_hash` component of every [`CacheKey`] this
-    /// machine reads or writes. Callers that evaluate derived artifacts
-    /// through the same cache (e.g. a fault-injected release) fold their
-    /// extra axes into this value.
+    /// machine reads or writes. Pass it to
+    /// [`TrainedAttack::probe`](crate::TrainedAttack::probe) to memoize
+    /// release probes in the same cache.
     #[must_use]
     pub fn cache_hash(&self) -> u64 {
         self.cache_hash

@@ -14,6 +14,7 @@
 //! data would collide on the same cache entries.
 
 use qce_data::Dataset;
+use qce_defense::{Plan, Transform};
 use qce_store::codec::{ByteReader, ByteWriter};
 use qce_store::{section_kind, StoreError};
 
@@ -22,8 +23,8 @@ use crate::{FaultedImage, FaultedReport, FlowConfig, ImageReport, ImageStatus, S
 /// Section kind tag for a serialized [`StageReport`].
 pub(crate) const STAGE_REPORT: u16 = section_kind::DOWNSTREAM_BASE;
 
-/// Section kind tag for a serialized [`FaultedReport`] (the defend
-/// stage's checkpoint payload).
+/// Section kind tag for a serialized [`FaultedReport`] (the payload of
+/// the defend stage and of release probes).
 pub(crate) const FAULTED_REPORT: u16 = section_kind::DOWNSTREAM_BASE + 1;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -55,18 +56,21 @@ pub(crate) fn flow_cache_hash(config: &FlowConfig, dataset: &Dataset) -> u64 {
     h
 }
 
-/// Extends a flow cache hash over a fault-evaluation's extra inputs: the
-/// quantizer actually applied and the fault plan. Neither lives in
-/// [`FlowConfig`], so without this fold two sweep cells probing different
-/// plans (or bit widths) over the same trained model would collide on one
-/// cache entry and the second cell would read the first cell's report.
-pub(crate) fn fault_cache_hash(
+/// The one key rule for release-transform stages: extends a flow cache
+/// hash over the transform's role, the quantizer actually applied and
+/// the plan's canonical JSON. None of the three is implied by the hash
+/// of the [`FlowConfig`] a sweep cell or tournament probe trains under,
+/// so without this fold two probes of different plans (or bit widths, or
+/// a fault and a defense plan with equal fields) over one trained model
+/// would collide on one cache entry.
+pub(crate) fn transform_cache_hash<K: Transform>(
     cache_hash: u64,
     qcfg: Option<crate::QuantConfig>,
-    plan: &crate::FaultPlan,
+    plan: &Plan<K>,
 ) -> u64 {
-    let h = fnv1a_extend(cache_hash, format!("{qcfg:?}").as_bytes());
-    fnv1a_extend(h, format!("{plan:?}").as_bytes())
+    let h = fnv1a_extend(cache_hash, K::ROLE.as_bytes());
+    let h = fnv1a_extend(h, format!("{qcfg:?}").as_bytes());
+    fnv1a_extend(h, plan.to_json().as_bytes())
 }
 
 /// Serializes a [`StageReport`] — including the observational `wall_ms`
@@ -382,21 +386,28 @@ mod tests {
         );
     }
 
-    // Regression: fault plans and the applied quantizer live outside
-    // FlowConfig, so the faulted-evaluation key must fold them in — two
-    // distinct cells never collide on a cache entry.
+    // Regression: plans, their role and the applied quantizer live
+    // outside FlowConfig, so the release-transform key must fold them
+    // in — two distinct probes never collide on a cache entry.
     #[test]
     fn fault_cache_hash_separates_plans_and_quantizers() {
-        use crate::{FaultKind, FaultPlan, QuantConfig, QuantMethod};
-        let plan_a = FaultPlan::new(3).with(FaultKind::BitFlip { rate: 0.001 });
-        let plan_b = FaultPlan::new(3).with(FaultKind::BitFlip { rate: 0.002 });
+        use crate::{QuantConfig, QuantMethod};
+        use qce_defense::{DefenseKind, DefensePlan, FaultKind, FaultPlan};
+        let plan_a = FaultPlan::new(3).with(FaultKind::Prune { fraction: 0.1 });
+        let plan_b = FaultPlan::new(3).with(FaultKind::Prune { fraction: 0.2 });
+        let defense = DefensePlan::new(3).with(DefenseKind::PruneScrub { fraction: 0.1 });
         let q4 = Some(QuantConfig::new(QuantMethod::TargetCorrelated, 4));
         let q8 = Some(QuantConfig::new(QuantMethod::TargetCorrelated, 8));
-        let base = fault_cache_hash(7, q4, &plan_a);
-        assert_eq!(base, fault_cache_hash(7, q4, &plan_a));
-        assert_ne!(base, fault_cache_hash(7, q4, &plan_b));
-        assert_ne!(base, fault_cache_hash(7, q8, &plan_a));
-        assert_ne!(base, fault_cache_hash(7, None, &plan_a));
-        assert_ne!(base, fault_cache_hash(8, q4, &plan_a));
+        let base = transform_cache_hash(7, q4, &plan_a);
+        assert_eq!(base, transform_cache_hash(7, q4, &plan_a));
+        assert_ne!(base, transform_cache_hash(7, q4, &plan_b));
+        assert_ne!(base, transform_cache_hash(7, q8, &plan_a));
+        assert_ne!(base, transform_cache_hash(7, None, &plan_a));
+        assert_ne!(base, transform_cache_hash(8, q4, &plan_a));
+        assert_ne!(base, transform_cache_hash(7, q4, &defense));
+        assert_ne!(
+            transform_cache_hash(7, q4, &FaultPlan::new(0)),
+            transform_cache_hash(7, q4, &DefensePlan::new(0))
+        );
     }
 }

@@ -1,4 +1,4 @@
-//! The individual countermeasures behind [`DefenseKind`](crate::DefenseKind).
+//! The individual countermeasures behind [`DefenseKind`].
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -8,29 +8,45 @@ use qce_quant::{quantize_network, KMeansQuantizer};
 use qce_tensor::init::standard_normal;
 use qce_tensor::stats;
 
-use crate::plan::RotationMode;
-use crate::{Defense, DefenseContext, DefenseError, Result};
+use crate::plan::{DefenseKind, RotationMode};
+use crate::{DefenseContext, Result, TransformError};
 
-/// Hidden-channel re-parameterization (see [`RotationMode`]).
-#[derive(Debug, Clone, Copy)]
-pub struct Rotation {
-    /// Permutation (exact symmetry) or QR blend (lossy rotation).
-    pub mode: RotationMode,
-}
-
-impl Defense for Rotation {
-    fn name(&self) -> &'static str {
-        "rotation"
-    }
-
-    fn apply(&self, net: &mut Network, _ctx: &DefenseContext<'_>, rng: &mut StdRng) -> Result<()> {
-        match self.mode {
-            RotationMode::Permute => {
+impl DefenseKind {
+    /// Perturbs `net` in place, drawing all randomness from `rng` (seeded
+    /// per step by the plan) so identical plans reproduce identical
+    /// released weights. The plan skips zero-severity steps, so every
+    /// step here does something.
+    pub(crate) fn apply(
+        &self,
+        net: &mut Network,
+        ctx: &DefenseContext<'_>,
+        rng: &mut StdRng,
+    ) -> Result<()> {
+        match *self {
+            DefenseKind::Rotation {
+                mode: RotationMode::Permute,
+            } => {
                 let moved = net.permute_hidden_channels(rng.next_u64());
                 qce_telemetry::counter("defense.rotation_channels").incr(moved as u64);
                 Ok(())
             }
-            RotationMode::QrBlend { strength } => qr_blend(net, strength, rng),
+            DefenseKind::Rotation {
+                mode: RotationMode::QrBlend { strength },
+            } => qr_blend(net, strength, rng),
+            DefenseKind::FinetuneScrub { epochs, lr } => finetune_scrub(net, ctx, rng, epochs, lr),
+            DefenseKind::PruneScrub { fraction } => {
+                qce_quant::prune::magnitude_prune(net, fraction)?;
+                Ok(())
+            }
+            DefenseKind::Requantize { bits } => {
+                let q = KMeansQuantizer::new(1usize << bits)?;
+                quantize_network(net, &q)?;
+                Ok(())
+            }
+            DefenseKind::NoiseWeights { fraction } => {
+                noise_weights(net, fraction, rng);
+                Ok(())
+            }
         }
     }
 }
@@ -61,7 +77,8 @@ fn qr_blend(net: &mut Network, strength: f32, rng: &mut StdRng) -> Result<()> {
                         *m = f64::from(1.0 - strength) * id + f64::from(strength) * q[o][c];
                     }
                 }
-                let inverse = invert(&mix).ok_or_else(|| DefenseError::InvalidDefense {
+                let inverse = invert(&mix).ok_or_else(|| TransformError::Invalid {
+                    role: "defense",
                     reason: format!("QR blend at strength {strength} produced a singular mix"),
                 })?;
                 let tensor = &mut flat[slot.offset..slot.offset + slot.len];
@@ -70,7 +87,8 @@ fn qr_blend(net: &mut Network, strength: f32, rng: &mut StdRng) -> Result<()> {
             }
             WeightSymmetry::PermutedInChunks => {
                 let (channels, inverse) =
-                    pending.take().ok_or_else(|| DefenseError::InvalidDefense {
+                    pending.take().ok_or_else(|| TransformError::Invalid {
+                        role: "defense",
                         reason: "consuming tensor without a producing partner".to_string(),
                     })?;
                 debug_assert_eq!(slot.dims[1], channels);
@@ -198,123 +216,52 @@ fn mix_chunks(data: &mut [f32], mix: &[Vec<f64>], chunk: usize, rows: usize) {
 
 /// Short defensive retraining on clean data, eroding planted payload
 /// gradients. Requires [`DefenseContext::with_data`].
-#[derive(Debug, Clone, Copy)]
-pub struct FinetuneScrub {
-    /// Retraining epochs (0 is a no-op).
-    pub epochs: usize,
-    /// Learning rate of the scrubbing pass.
-    pub lr: f32,
+fn finetune_scrub(
+    net: &mut Network,
+    ctx: &DefenseContext<'_>,
+    rng: &mut StdRng,
+    epochs: usize,
+    lr: f32,
+) -> Result<()> {
+    let (Some(x), Some(labels)) = (ctx.train_x, ctx.train_labels) else {
+        return Err(TransformError::MissingData {
+            defense: "finetune-scrub",
+        });
+    };
+    let config = TrainConfig {
+        epochs,
+        batch_size: ctx.effective_batch_size(),
+        lr,
+        shuffle_seed: rng.next_u64(),
+        verbose: false,
+        ..TrainConfig::default()
+    };
+    Trainer::new(config).fit(net, x, labels, None)?;
+    Ok(())
 }
 
-impl Defense for FinetuneScrub {
-    fn name(&self) -> &'static str {
-        "finetune-scrub"
-    }
-
-    fn apply(&self, net: &mut Network, ctx: &DefenseContext<'_>, rng: &mut StdRng) -> Result<()> {
-        if self.epochs == 0 {
-            return Ok(());
+/// Zero-mean Gaussian noise with σ = `fraction` of each `Weight`
+/// tensor's own standard deviation; zero-σ tensors draw nothing.
+fn noise_weights(net: &mut Network, fraction: f32, rng: &mut StdRng) {
+    for p in net.params_mut() {
+        if p.kind() != ParamKind::Weight {
+            continue;
         }
-        let (x, labels) = match (ctx.train_x, ctx.train_labels) {
-            (Some(x), Some(labels)) => (x, labels),
-            _ => {
-                return Err(DefenseError::MissingData {
-                    defense: "finetune-scrub",
-                })
-            }
-        };
-        let config = TrainConfig {
-            epochs: self.epochs,
-            batch_size: ctx.effective_batch_size(),
-            lr: self.lr,
-            shuffle_seed: rng.next_u64(),
-            verbose: false,
-            ..TrainConfig::default()
-        };
-        Trainer::new(config).fit(net, x, labels, None)?;
-        Ok(())
-    }
-}
-
-/// Magnitude pruning via [`qce_quant::prune::magnitude_prune`].
-#[derive(Debug, Clone, Copy)]
-pub struct PruneScrub {
-    /// Fraction of weights to zero, in `[0, 1)`.
-    pub fraction: f32,
-}
-
-impl Defense for PruneScrub {
-    fn name(&self) -> &'static str {
-        "prune-scrub"
-    }
-
-    fn apply(&self, net: &mut Network, _ctx: &DefenseContext<'_>, _rng: &mut StdRng) -> Result<()> {
-        if self.fraction == 0.0 {
-            return Ok(());
+        let std = stats::std_dev(p.value().as_slice());
+        if std <= 0.0 {
+            continue;
         }
-        qce_quant::prune::magnitude_prune(net, self.fraction)?;
-        Ok(())
-    }
-}
-
-/// Defender-chosen k-means re-quantization: annihilates LSB payloads and
-/// re-draws target-correlated cluster boundaries.
-#[derive(Debug, Clone, Copy)]
-pub struct Requantize {
-    /// Codebook width in bits, `1..=16`.
-    pub bits: u32,
-}
-
-impl Defense for Requantize {
-    fn name(&self) -> &'static str {
-        "requantize"
-    }
-
-    fn apply(&self, net: &mut Network, _ctx: &DefenseContext<'_>, _rng: &mut StdRng) -> Result<()> {
-        let q = KMeansQuantizer::new(1usize << self.bits)?;
-        quantize_network(net, &q)?;
-        Ok(())
-    }
-}
-
-/// Zero-mean Gaussian noise with σ = `fraction` of each tensor's own
-/// weight standard deviation (migrated from `qce::defense::noise_weights`).
-#[derive(Debug, Clone, Copy)]
-pub struct NoiseWeights {
-    /// Noise σ as a fraction of the per-tensor weight σ.
-    pub fraction: f32,
-}
-
-impl Defense for NoiseWeights {
-    fn name(&self) -> &'static str {
-        "noise-weights"
-    }
-
-    fn apply(&self, net: &mut Network, _ctx: &DefenseContext<'_>, rng: &mut StdRng) -> Result<()> {
-        if self.fraction == 0.0 {
-            return Ok(());
+        let sigma = fraction * std;
+        for w in p.value_mut().as_mut_slice() {
+            *w += sigma * standard_normal(rng);
         }
-        for p in net.params_mut() {
-            if p.kind() != ParamKind::Weight {
-                continue;
-            }
-            let std = stats::std_dev(p.value().as_slice());
-            if std <= 0.0 {
-                continue;
-            }
-            let sigma = self.fraction * std;
-            for w in p.value_mut().as_mut_slice() {
-                *w += sigma * standard_normal(rng);
-            }
-        }
-        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DefenseKind, DefensePlan};
+    use crate::DefensePlan;
     use qce_nn::models::ResNetLite;
     use qce_nn::Mode;
     use qce_tensor::{init, Tensor};
@@ -418,14 +365,14 @@ mod tests {
     #[test]
     fn finetune_scrub_needs_data_and_moves_weights_with_it() {
         let mut n = net(5);
-        let scrub = FinetuneScrub {
+        let scrub = DefenseKind::FinetuneScrub {
             epochs: 1,
             lr: 0.01,
         };
         let mut rng = StdRng::seed_from_u64(1);
         assert!(matches!(
             scrub.apply(&mut n, &DefenseContext::empty(), &mut rng),
-            Err(DefenseError::MissingData {
+            Err(TransformError::MissingData {
                 defense: "finetune-scrub"
             })
         ));

@@ -1,38 +1,51 @@
-//! Data-holder countermeasures against weight-encoded payloads — the
-//! defender's half of the arms race.
+//! Release transforms: the perturbations a released model meets
+//! between the malicious trainer and the adversary who decodes it.
 //!
 //! The DAC'20 attack smuggles training images into a released model's
-//! weights (sign, LSB or correlation encodings). A data holder who
-//! suspects the training pipeline can perturb the model *before* release
-//! to destroy such payloads while keeping task accuracy. This crate
-//! packages those perturbations as composable [`Defense`] objects driven
-//! by a seeded [`DefensePlan`], mirroring the fault-injection
-//! architecture of `qce::faults`:
+//! weights (sign, LSB or correlation encodings). Two parties perturb the
+//! release before it is decoded, and this crate models both with one
+//! seeded, ordered [`Plan`] type whose role lives in its step kind:
 //!
-//! * [`Rotation`] — re-parameterize every residual block's hidden
-//!   channel space. In [`RotationMode::Permute`] mode this applies the
-//!   network's *exact* ReLU symmetry (a compensated channel
-//!   permutation): task function is preserved up to float summation
-//!   order, but any position-addressed payload is scrambled. The
-//!   [`RotationMode::QrBlend`] mode blends each hidden basis toward a
-//!   random orthogonal (QR-derived) rotation; it is deliberately
-//!   *lossy* (batch-norm and ReLU do not commute with general
-//!   rotations) and exists to measure the accuracy/decorrelation
-//!   trade-off of non-symmetry rotations.
-//! * [`FinetuneScrub`] — a short defensive retraining pass on clean
-//!   data, eroding gradients the attacker's regularizer planted.
-//! * [`PruneScrub`] — magnitude pruning via
-//!   [`qce_quant::prune::magnitude_prune`].
-//! * [`Requantize`] — defender-chosen k-means re-quantization,
-//!   annihilating LSB payloads and re-drawing an attacker's
-//!   target-correlated cluster boundaries.
-//! * [`NoiseWeights`] — per-tensor σ-scaled Gaussian noise (migrated
-//!   from `qce::defense::noise_weights`).
+//! * [`FaultPlan`] = `Plan<`[`FaultKind`]`>` — adversarial bit rot and
+//!   tampering for robustness sweeps: bit flips in the packed index
+//!   stream, Gaussian/uniform noise, global magnitude pruning, centroid
+//!   jitter, fine-tune drift. Applied to the quantized handle of a
+//!   quantized release, or to the raw weights of a float one.
+//! * [`DefensePlan`] = `Plan<`[`DefenseKind`]`>` — the data holder's
+//!   countermeasures, applied to the released weights:
+//!   * [`DefenseKind::Rotation`] — re-parameterize every residual
+//!     block's hidden channel space. In [`RotationMode::Permute`] mode
+//!     this applies the network's *exact* ReLU symmetry (a compensated
+//!     channel permutation): task function is preserved up to float
+//!     summation order, but any position-addressed payload is
+//!     scrambled. The [`RotationMode::QrBlend`] mode blends each hidden
+//!     basis toward a random orthogonal (QR-derived) rotation; it is
+//!     deliberately *lossy* (batch-norm and ReLU do not commute with
+//!     general rotations) and exists to measure the
+//!     accuracy/decorrelation trade-off of non-symmetry rotations.
+//!   * [`DefenseKind::FinetuneScrub`] — a short defensive retraining
+//!     pass on clean data, eroding gradients the attacker's regularizer
+//!     planted.
+//!   * [`DefenseKind::PruneScrub`] — per-tensor magnitude pruning via
+//!     [`qce_quant::prune::magnitude_prune`].
+//!   * [`DefenseKind::Requantize`] — defender-chosen k-means
+//!     re-quantization, annihilating LSB payloads and re-drawing an
+//!     attacker's target-correlated cluster boundaries.
+//!   * [`DefenseKind::NoiseWeights`] — per-tensor σ-scaled Gaussian
+//!     noise.
 //!
-//! Every draw derives from the plan seed (each defense gets an
-//! independent RNG), so a plan is reproducible and composes
-//! deterministically — the property the tournament goldens in
-//! `qce-harness` rely on.
+//! Kinds that look alike across the roles are not duplicates: `Prune`
+//! uses one global quantile threshold while `PruneScrub` prunes an exact
+//! count per tensor, `FinetuneDrift` is a random step proportional to
+//! |w| while `FinetuneScrub` really retrains, and `GaussianNoise` draws
+//! from the RNG on zero-σ tensors while `NoiseWeights` skips them.
+//!
+//! Every draw derives from the plan seed (each step gets an independent
+//! RNG), so a plan is reproducible and composes deterministically — the
+//! property the conformance and tournament goldens rely on. Both roles
+//! share one canonical JSON codec ([`Plan::to_json`] /
+//! [`Plan::from_json`], validating at parse time) and one error type,
+//! [`TransformError`].
 //!
 //! # Examples
 //!
@@ -57,25 +70,27 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use rand::rngs::StdRng;
-
-use qce_nn::{Network, NnError};
+use qce_nn::NnError;
 use qce_quant::QuantError;
 use qce_tensor::Tensor;
 
 mod countermeasures;
+mod faults;
 mod plan;
 
-pub use countermeasures::{FinetuneScrub, NoiseWeights, PruneScrub, Requantize, Rotation};
-pub use plan::{DefenseKind, DefensePlan, RotationMode};
+pub use faults::FaultKind;
+pub use plan::{DefenseKind, DefensePlan, FaultPlan, Plan, RotationMode, Transform};
 
-/// Error type of defense application.
+/// Error type of every release transform, fault or defense.
 #[derive(Debug)]
 #[non_exhaustive]
-pub enum DefenseError {
-    /// A defense's parameter is out of range.
-    InvalidDefense {
-        /// Why the defense is rejected.
+pub enum TransformError {
+    /// A step's parameter is out of range, or a plan document is
+    /// malformed.
+    Invalid {
+        /// Role of the rejected plan (`"fault"` or `"defense"`).
+        role: &'static str,
+        /// Why the step or document is rejected.
         reason: String,
     },
     /// A defense needs clean training data the [`DefenseContext`] does
@@ -86,54 +101,54 @@ pub enum DefenseError {
     },
     /// Defensive retraining or weight surgery failed inside `qce-nn`.
     Nn(NnError),
-    /// Re-quantization or pruning failed inside `qce-quant`.
+    /// Re-packing, re-quantization or pruning failed inside `qce-quant`.
     Quant(QuantError),
 }
 
-impl std::fmt::Display for DefenseError {
+impl std::fmt::Display for TransformError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DefenseError::InvalidDefense { reason } => write!(f, "invalid defense: {reason}"),
-            DefenseError::MissingData { defense } => {
+            TransformError::Invalid { role, reason } => write!(f, "invalid {role}: {reason}"),
+            TransformError::MissingData { defense } => {
                 write!(
                     f,
                     "defense `{defense}` needs clean training data in the DefenseContext"
                 )
             }
-            DefenseError::Nn(e) => write!(f, "defense (network): {e}"),
-            DefenseError::Quant(e) => write!(f, "defense (quantization): {e}"),
+            TransformError::Nn(e) => write!(f, "release transform (network): {e}"),
+            TransformError::Quant(e) => write!(f, "release transform (quantization): {e}"),
         }
     }
 }
 
-impl std::error::Error for DefenseError {
+impl std::error::Error for TransformError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            DefenseError::Nn(e) => Some(e),
-            DefenseError::Quant(e) => Some(e),
+            TransformError::Nn(e) => Some(e),
+            TransformError::Quant(e) => Some(e),
             _ => None,
         }
     }
 }
 
-impl From<NnError> for DefenseError {
+impl From<NnError> for TransformError {
     fn from(e: NnError) -> Self {
-        DefenseError::Nn(e)
+        TransformError::Nn(e)
     }
 }
 
-impl From<QuantError> for DefenseError {
+impl From<QuantError> for TransformError {
     fn from(e: QuantError) -> Self {
-        DefenseError::Quant(e)
+        TransformError::Quant(e)
     }
 }
 
-/// Convenience alias for defense results.
-pub type Result<T> = std::result::Result<T, DefenseError>;
+/// Convenience alias for release-transform results.
+pub type Result<T> = std::result::Result<T, TransformError>;
 
 /// Resources a defender has on hand while scrubbing a model.
 ///
-/// Only [`FinetuneScrub`] consumes the training data; every other
+/// Only [`DefenseKind::FinetuneScrub`] consumes the training data; every other
 /// defense works from the weights alone, so [`DefenseContext::empty`]
 /// suffices for them.
 #[derive(Debug, Default, Clone, Copy)]
@@ -152,7 +167,8 @@ impl<'a> DefenseContext<'a> {
         DefenseContext::default()
     }
 
-    /// A context carrying clean training data for [`FinetuneScrub`].
+    /// A context carrying clean training data for
+    /// [`DefenseKind::FinetuneScrub`].
     pub fn with_data(x: &'a Tensor, labels: &'a [usize], batch_size: usize) -> Self {
         DefenseContext {
             train_x: Some(x),
@@ -169,23 +185,4 @@ impl<'a> DefenseContext<'a> {
             self.batch_size
         }
     }
-}
-
-/// One countermeasure applied to a released float network in place.
-///
-/// Implementations draw all randomness from the `rng` argument (seeded
-/// per-defense by [`DefensePlan`]) so identical plans reproduce
-/// identical released weights.
-pub trait Defense {
-    /// Short stable name (used in telemetry counters and reports).
-    fn name(&self) -> &'static str;
-
-    /// Perturbs `net` in place.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DefenseError`] when parameters are out of range, when
-    /// required [`DefenseContext`] resources are missing, or when the
-    /// underlying weight surgery fails.
-    fn apply(&self, net: &mut Network, ctx: &DefenseContext<'_>, rng: &mut StdRng) -> Result<()>;
 }

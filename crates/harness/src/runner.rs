@@ -45,52 +45,36 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ConformanceReport> {
         )));
     }
 
-    let (stages, digests) = match &scenario.fault {
-        None if !scenario.defenses.is_empty() => {
-            let mut trained = flow.train(&dataset)?;
-            let pre = trained.float_report()?;
-            let mut stages = vec![stage_from_report(&pre, None)];
-            if let Some(qcfg) = scenario.flow.quant {
-                let release = trained.quantize(qcfg)?;
-                stages.push(stage_from_report(
-                    &release.report,
-                    Some(release.compression_ratio),
-                ));
-            }
-            for (name, plan) in &scenario.defenses {
-                let defended = trained.evaluate_defended(
-                    scenario.flow.quant,
-                    plan,
-                    format!("defense:{name}"),
-                )?;
-                stages.push(stage_from_faulted(&defended));
-            }
-            (stages, trained.artifact_digests())
+    let (stages, digests) = if scenario.fault.is_none() && scenario.defenses.is_empty() {
+        let outcome = flow.run(&dataset)?;
+        let mut stages = vec![stage_from_report(&outcome.pre_quant, None)];
+        if let Some(post) = &outcome.post_quant {
+            stages.push(stage_from_report(post, outcome.compression_ratio));
         }
-        None => {
-            let outcome = flow.run(&dataset)?;
-            let mut stages = vec![stage_from_report(&outcome.pre_quant, None)];
-            if let Some(post) = &outcome.post_quant {
-                stages.push(stage_from_report(post, outcome.compression_ratio));
-            }
-            (stages, outcome.artifact_digests())
+        (stages, outcome.artifact_digests())
+    } else {
+        // Perturbed scenarios: one trained model, its clean stages, then
+        // one release probe per plan (the fault, or each named defense).
+        let mut trained = flow.train(&dataset)?;
+        let pre = trained.float_report()?;
+        let mut stages = vec![stage_from_report(&pre, None)];
+        let qcfg = scenario.flow.quant;
+        if let Some(qcfg) = qcfg {
+            let release = trained.quantize(qcfg)?;
+            stages.push(stage_from_report(
+                &release.report,
+                Some(release.compression_ratio),
+            ));
         }
-        Some(plan) => {
-            let mut trained = flow.train(&dataset)?;
-            let pre = trained.float_report()?;
-            let mut stages = vec![stage_from_report(&pre, None)];
-            if let Some(qcfg) = scenario.flow.quant {
-                let release = trained.quantize(qcfg)?;
-                stages.push(stage_from_report(
-                    &release.report,
-                    Some(release.compression_ratio),
-                ));
-            }
-            let faulted =
-                trained.evaluate_faulted(scenario.flow.quant, plan, "faulted".to_string())?;
+        if let Some(plan) = &scenario.fault {
+            let faulted = trained.probe(qcfg, plan, "faulted".to_string(), None)?;
             stages.push(stage_from_faulted(&faulted));
-            (stages, trained.artifact_digests())
         }
+        for (name, plan) in &scenario.defenses {
+            let defended = trained.probe(qcfg, plan, format!("defense:{name}"), None)?;
+            stages.push(stage_from_faulted(&defended));
+        }
+        (stages, trained.artifact_digests())
     };
 
     let counters = qce_telemetry::snapshot().counters_with_prefix(DETERMINISTIC_COUNTER_PREFIXES);

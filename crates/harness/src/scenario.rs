@@ -7,16 +7,17 @@
 //! *is* the experiment. Parsing goes through the zero-dependency
 //! [`qce_telemetry::json`] reader (the vendored serde is a marker stub),
 //! and [`Scenario::to_json`] emits the same schema back, so specs
-//! round-trip exactly.
+//! round-trip exactly. Fault and defense plans go through the one
+//! canonical plan codec of [`qce_defense::Plan`], which validates every
+//! step while parsing.
 
-use qce::faults::{FaultKind, FaultPlan};
 use qce::{
     Architecture, BandRule, EncodingChannel, FlowConfig, Grouping, LambdaSchedule, QuantConfig,
     QuantMethod, SignConvention,
 };
 use qce_data::Dataset;
 use qce_data::{SynthCifar, SynthFaces};
-use qce_defense::{DefenseKind, DefensePlan, RotationMode};
+use qce_defense::{DefenseKind, DefensePlan, FaultKind, FaultPlan, RotationMode};
 use qce_telemetry::json::{parse, JsonValue, ObjWriter};
 
 use crate::{HarnessError, Result};
@@ -315,14 +316,20 @@ impl Scenario {
             .map_err(|e| HarnessError::spec(format!("flow config: {e}")))?;
         let fault = match doc.get("fault") {
             None | Some(JsonValue::Null) => None,
-            Some(v) => Some(parse_fault(v)?),
+            Some(v) => Some(
+                FaultPlan::from_json(v)
+                    .map_err(|e| HarnessError::spec(format!("fault plan: {e}")))?,
+            ),
         };
         let defenses = match doc.get("defenses") {
             None | Some(JsonValue::Null) => Vec::new(),
             Some(JsonValue::Arr(items)) => {
                 let mut out = Vec::new();
                 for item in items {
-                    out.push(parse_defense_plan(item)?);
+                    let name = req_str(item, "name")?;
+                    let plan = DefensePlan::from_json(item)
+                        .map_err(|e| HarnessError::spec(format!("defense plan {name:?}: {e}")))?;
+                    out.push((name, plan));
                 }
                 out
             }
@@ -461,11 +468,7 @@ impl Scenario {
         }
         flow.raw("channel", &channel.finish());
         if let Some(plan) = &self.flow.defense {
-            let mut defense = ObjWriter::new();
-            defense.uint("seed", plan.seed());
-            let kinds: Vec<String> = plan.defenses().iter().map(defense_kind_to_json).collect();
-            defense.raw("defenses", &format!("[{}]", kinds.join(",")));
-            flow.raw("defense", &defense.finish());
+            flow.raw("defense", &plan.to_json());
         }
         match self.flow.quant {
             None => {
@@ -496,17 +499,18 @@ impl Scenario {
             .raw("dataset", &dataset.finish())
             .raw("flow", &flow.finish());
         if let Some(plan) = &self.fault {
-            let mut fault = ObjWriter::new();
-            fault.uint("seed", plan.seed());
-            let faults: Vec<String> = plan.faults().iter().map(fault_to_json).collect();
-            fault.raw("faults", &format!("[{}]", faults.join(",")));
-            root.raw("fault", &fault.finish());
+            root.raw("fault", &plan.to_json());
         }
         if !self.defenses.is_empty() {
             let entries: Vec<String> = self
                 .defenses
                 .iter()
-                .map(|(name, plan)| defense_plan_to_json(name, plan))
+                .map(|(name, plan)| {
+                    let mut o = ObjWriter::new();
+                    o.str("name", name);
+                    plan.write_json(&mut o);
+                    o.finish()
+                })
                 .collect();
             root.raw("defenses", &format!("[{}]", entries.join(",")));
         }
@@ -519,136 +523,6 @@ impl Scenario {
         }
         root.finish()
     }
-}
-
-fn fault_to_json(f: &FaultKind) -> String {
-    let mut o = ObjWriter::new();
-    match *f {
-        FaultKind::BitFlip { rate } => {
-            o.str("kind", "bit_flip").num("rate", rate);
-        }
-        FaultKind::GaussianNoise { fraction } => {
-            o.str("kind", "gaussian_noise")
-                .num("fraction", f64::from(fraction));
-        }
-        FaultKind::UniformNoise { fraction } => {
-            o.str("kind", "uniform_noise")
-                .num("fraction", f64::from(fraction));
-        }
-        FaultKind::Prune { fraction } => {
-            o.str("kind", "prune").num("fraction", f64::from(fraction));
-        }
-        FaultKind::CentroidJitter { fraction } => {
-            o.str("kind", "centroid_jitter")
-                .num("fraction", f64::from(fraction));
-        }
-        FaultKind::FinetuneDrift { strength } => {
-            o.str("kind", "finetune_drift")
-                .num("strength", f64::from(strength));
-        }
-    }
-    o.finish()
-}
-
-fn defense_plan_to_json(name: &str, plan: &DefensePlan) -> String {
-    let mut o = ObjWriter::new();
-    o.str("name", name).uint("seed", plan.seed());
-    let kinds: Vec<String> = plan.defenses().iter().map(defense_kind_to_json).collect();
-    o.raw("defenses", &format!("[{}]", kinds.join(",")));
-    o.finish()
-}
-
-fn defense_kind_to_json(kind: &DefenseKind) -> String {
-    let mut o = ObjWriter::new();
-    match *kind {
-        DefenseKind::Rotation {
-            mode: RotationMode::Permute,
-        } => {
-            o.str("kind", "rotation").str("mode", "permute");
-        }
-        DefenseKind::Rotation {
-            mode: RotationMode::QrBlend { strength },
-        } => {
-            o.str("kind", "rotation")
-                .str("mode", "qr_blend")
-                .num("strength", f64::from(strength));
-        }
-        DefenseKind::FinetuneScrub { epochs, lr } => {
-            o.str("kind", "finetune_scrub")
-                .uint("epochs", epochs as u64)
-                .num("lr", f64::from(lr));
-        }
-        DefenseKind::PruneScrub { fraction } => {
-            o.str("kind", "prune_scrub")
-                .num("fraction", f64::from(fraction));
-        }
-        DefenseKind::Requantize { bits } => {
-            o.str("kind", "requantize").uint("bits", u64::from(bits));
-        }
-        DefenseKind::NoiseWeights { fraction } => {
-            o.str("kind", "noise_weights")
-                .num("fraction", f64::from(fraction));
-        }
-    }
-    o.finish()
-}
-
-fn parse_defense_plan(doc: &JsonValue) -> Result<(String, DefensePlan)> {
-    let name = req_str(doc, "name")?;
-    let seed = req(doc, "seed")?
-        .as_u64()
-        .ok_or_else(|| HarnessError::spec("defense \"seed\" must be a non-negative integer"))?;
-    let Some(JsonValue::Arr(items)) = doc.get("defenses") else {
-        return Err(HarnessError::spec(format!(
-            "defense plan {name:?} needs a \"defenses\" array (may be empty)"
-        )));
-    };
-    let mut plan = DefensePlan::new(seed);
-    for item in items {
-        plan = plan.with(parse_defense_kind(item)?);
-    }
-    plan.validate()
-        .map_err(|e| HarnessError::spec(format!("defense plan {name:?}: {e}")))?;
-    Ok((name, plan))
-}
-
-fn parse_defense_kind(doc: &JsonValue) -> Result<DefenseKind> {
-    let kind = match req_str(doc, "kind")?.as_str() {
-        "rotation" => {
-            let mode = match req_str(doc, "mode")?.as_str() {
-                "permute" => RotationMode::Permute,
-                "qr_blend" => RotationMode::QrBlend {
-                    strength: req_f32(doc, "strength")?,
-                },
-                other => {
-                    return Err(HarnessError::spec(format!(
-                        "unknown rotation mode {other:?} (permute | qr_blend)"
-                    )))
-                }
-            };
-            DefenseKind::Rotation { mode }
-        }
-        "finetune_scrub" => DefenseKind::FinetuneScrub {
-            epochs: req_usize(doc, "epochs")?,
-            lr: req_f32(doc, "lr")?,
-        },
-        "prune_scrub" => DefenseKind::PruneScrub {
-            fraction: req_f32(doc, "fraction")?,
-        },
-        "requantize" => DefenseKind::Requantize {
-            bits: u32::try_from(req_usize(doc, "bits")?)
-                .map_err(|_| HarnessError::spec("requantize \"bits\" out of range"))?,
-        },
-        "noise_weights" => DefenseKind::NoiseWeights {
-            fraction: req_f32(doc, "fraction")?,
-        },
-        other => {
-            return Err(HarnessError::spec(format!(
-                "unknown defense kind {other:?}"
-            )))
-        }
-    };
-    Ok(kind)
 }
 
 fn req<'a>(doc: &'a JsonValue, key: &str) -> Result<&'a JsonValue> {
@@ -823,18 +697,8 @@ fn parse_flow(doc: &JsonValue) -> Result<FlowConfig> {
     match doc.get("defense") {
         None | Some(JsonValue::Null) => {}
         Some(v) => {
-            let seed = req(v, "seed")?.as_u64().ok_or_else(|| {
-                HarnessError::spec("flow defense \"seed\" must be a non-negative integer")
-            })?;
-            let Some(JsonValue::Arr(items)) = v.get("defenses") else {
-                return Err(HarnessError::spec(
-                    "flow \"defense\" needs a \"defenses\" array (may be empty)",
-                ));
-            };
-            let mut plan = DefensePlan::new(seed);
-            for item in items {
-                plan = plan.with(parse_defense_kind(item)?);
-            }
+            let plan = DefensePlan::from_json(v)
+                .map_err(|e| HarnessError::spec(format!("flow defense plan: {e}")))?;
             cfg.defense = Some(plan);
         }
     }
@@ -872,43 +736,6 @@ fn parse_flow(doc: &JsonValue) -> Result<FlowConfig> {
         }
     }
     Ok(cfg)
-}
-
-fn parse_fault(doc: &JsonValue) -> Result<FaultPlan> {
-    let seed = req(doc, "seed")?
-        .as_u64()
-        .ok_or_else(|| HarnessError::spec("fault \"seed\" must be a non-negative integer"))?;
-    let Some(JsonValue::Arr(items)) = doc.get("faults") else {
-        return Err(HarnessError::spec("fault plan needs a \"faults\" array"));
-    };
-    let mut plan = FaultPlan::new(seed);
-    for item in items {
-        let kind = match req_str(item, "kind")?.as_str() {
-            "bit_flip" => FaultKind::BitFlip {
-                rate: req(item, "rate")?
-                    .as_f64()
-                    .ok_or_else(|| HarnessError::spec("bit_flip \"rate\" must be a number"))?,
-            },
-            "gaussian_noise" => FaultKind::GaussianNoise {
-                fraction: req_f32(item, "fraction")?,
-            },
-            "uniform_noise" => FaultKind::UniformNoise {
-                fraction: req_f32(item, "fraction")?,
-            },
-            "prune" => FaultKind::Prune {
-                fraction: req_f32(item, "fraction")?,
-            },
-            "centroid_jitter" => FaultKind::CentroidJitter {
-                fraction: req_f32(item, "fraction")?,
-            },
-            "finetune_drift" => FaultKind::FinetuneDrift {
-                strength: req_f32(item, "strength")?,
-            },
-            other => return Err(HarnessError::spec(format!("unknown fault kind {other:?}"))),
-        };
-        plan = plan.with(kind);
-    }
-    Ok(plan)
 }
 
 #[cfg(test)]
@@ -1012,7 +839,7 @@ mod tests {
         assert_eq!(s.flow.channel, EncodingChannel::StatSign { lambda: 3e4 });
         assert_eq!(s.defenses.len(), 4);
         assert!(s.defenses[0].1.is_benign());
-        assert_eq!(s.defenses[3].1.defenses().len(), 4);
+        assert_eq!(s.defenses[3].1.steps().len(), 4);
         // And it round-trips.
         assert_eq!(Scenario::from_json(&s.to_json()).unwrap(), s);
     }
@@ -1067,7 +894,7 @@ mod tests {
         .unwrap();
         let plan = s.flow.defense.as_ref().unwrap();
         assert_eq!(plan.seed(), 11);
-        assert_eq!(plan.defenses().len(), 1);
+        assert_eq!(plan.steps().len(), 1);
         assert_eq!(Scenario::from_json(&s.to_json()).unwrap(), s);
         // An invalid plan is caught by flow validation.
         let err = Scenario::from_json(
@@ -1122,24 +949,37 @@ mod tests {
 
     #[test]
     fn malformed_specs_are_rejected_with_context() {
+        let fault = |steps: &str| {
+            format!(
+                r#"{{"name":"x","dataset":{{"kind":"cifar","size":8,"classes":2,"count":8,"seed":0}},"flow":{{}},"fault":{{"seed":1,"faults":[{steps}]}}}}"#
+            )
+        };
+        // NaN has no JSON literal: the writer emits null.
+        let mut nan = Scenario::builtin().remove(3);
+        nan.fault = Some(FaultPlan::new(1).with(FaultKind::CentroidJitter { fraction: f32::NAN }));
         for (body, needle) in [
-            ("{", "scenario JSON"),
-            (r#"{"dataset":{},"flow":{}}"#, "name"),
+            ("{".to_string(), "scenario JSON"),
+            (r#"{"dataset":{},"flow":{}}"#.to_string(), "name"),
             (
-                r#"{"name":"x","dataset":{"kind":"mnist","size":8,"classes":2,"count":8,"seed":0},"flow":{}}"#,
+                r#"{"name":"x","dataset":{"kind":"mnist","size":8,"classes":2,"count":8,"seed":0},"flow":{}}"#.to_string(),
                 "dataset kind",
             ),
             (
-                r#"{"name":"x","dataset":{"kind":"cifar","size":8,"classes":2,"count":8,"seed":0},"flow":{"epochs":0}}"#,
+                r#"{"name":"x","dataset":{"kind":"cifar","size":8,"classes":2,"count":8,"seed":0},"flow":{"epochs":0}}"#.to_string(),
                 "flow config",
             ),
-            (
-                r#"{"name":"x","dataset":{"kind":"cifar","size":8,"classes":2,"count":8,"seed":0},"flow":{},"fault":{"seed":1,"faults":[{"kind":"melt"}]}}"#,
-                "fault kind",
-            ),
+            (fault(r#"{"kind":"melt"}"#), "fault kind"),
+            // Out-of-range faults are rejected while parsing, not after
+            // training.
+            (fault(r#"{"kind":"bit_flip","rate":1.5}"#), "bit-flip rate 1.5 exceeds 1"),
+            (fault(r#"{"kind":"prune","fraction":2.0}"#), "prune fraction 2 exceeds 1"),
+            (fault(r#"{"kind":"gaussian_noise","fraction":-0.1}"#), "non-negative"),
+            (fault(r#"{"kind":"uniform_noise","fraction":1e999}"#), "finite"),
+            (nan.to_json(), "\"fraction\" must be a number"),
         ] {
-            let err = Scenario::from_json(body).unwrap_err().to_string();
-            assert!(err.contains(needle), "{body} -> {err}");
+            let err = Scenario::from_json(&body).unwrap_err();
+            assert!(matches!(err, HarnessError::Spec { .. }), "{body} -> {err}");
+            assert!(err.to_string().contains(needle), "{body} -> {err}");
         }
     }
 }

@@ -9,7 +9,8 @@
 use std::path::PathBuf;
 use std::sync::{Mutex, OnceLock};
 
-use qce::faults::{FaultKind, FaultPlan};
+use qce::FlowConfig;
+use qce_defense::{DefenseKind, DefensePlan, FaultKind, FaultPlan, RotationMode};
 use qce_harness::{
     diff_reports, golden_path, run_scenario, ConformanceReport, HarnessError, Scenario, Tolerances,
     REPORT_FORMAT_VERSION,
@@ -277,5 +278,74 @@ fn committed_scenario_specs_parse_and_match_builtins() {
              re-run `harness init`",
             scenario.name
         );
+    }
+}
+
+/// A scenario carrying every fault kind plus a release-time defense
+/// with every defense kind (both rotation modes).
+fn pin_faulted() -> Scenario {
+    let base = Scenario::builtin().remove(3);
+    Scenario {
+        name: "pin_faulted".to_string(),
+        flow: FlowConfig {
+            defense: Some(
+                DefensePlan::new(21)
+                    .with(DefenseKind::Rotation {
+                        mode: RotationMode::Permute,
+                    })
+                    .with(DefenseKind::Rotation {
+                        mode: RotationMode::QrBlend { strength: 0.3 },
+                    })
+                    .with(DefenseKind::FinetuneScrub {
+                        epochs: 2,
+                        lr: 0.005,
+                    })
+                    .with(DefenseKind::PruneScrub { fraction: 0.15 })
+                    .with(DefenseKind::Requantize { bits: 5 })
+                    .with(DefenseKind::NoiseWeights { fraction: 0.07 }),
+            ),
+            ..base.flow.clone()
+        },
+        fault: Some(
+            FaultPlan::new(9)
+                .with(FaultKind::BitFlip { rate: 0.002 })
+                .with(FaultKind::GaussianNoise { fraction: 0.02 })
+                .with(FaultKind::UniformNoise { fraction: 0.04 })
+                .with(FaultKind::Prune { fraction: 0.25 })
+                .with(FaultKind::CentroidJitter { fraction: 0.1 })
+                .with(FaultKind::FinetuneDrift { strength: 0.03 }),
+        ),
+        ..base
+    }
+}
+
+/// The tournament roster plus a QR-blend + noise entry.
+fn pin_roster() -> Scenario {
+    let mut s = Scenario::tournament().remove(2);
+    s.defenses.push((
+        "blend-noise".to_string(),
+        DefensePlan::new(23)
+            .with(DefenseKind::Rotation {
+                mode: RotationMode::QrBlend { strength: 0.4 },
+            })
+            .with(DefenseKind::NoiseWeights { fraction: 0.1 }),
+    ));
+    s
+}
+
+const PINNED_FAULTED: &str = r#"{"name":"pin_faulted","dataset":{"kind":"cifar","size":8,"classes":4,"count":160,"seed":5,"rgb":false},"flow":{"seed":7,"arch":"resnet_lite","stage_channels":[8,16],"blocks_per_stage":1,"train_fraction":0.833299994468689,"epochs":2,"batch_size":32,"lr":0.05000000074505806,"lambda_scale":40,"lambda_schedule":"warmup","grouping":{"kind":"uniform","lambda":5},"band":{"kind":"first_n"},"sign":"positive","channel":{"kind":"correlation"},"defense":{"seed":21,"defenses":[{"kind":"rotation","mode":"permute"},{"kind":"rotation","mode":"qr_blend","strength":0.30000001192092896},{"kind":"finetune_scrub","epochs":2,"lr":0.004999999888241291},{"kind":"prune_scrub","fraction":0.15000000596046448},{"kind":"requantize","bits":5},{"kind":"noise_weights","fraction":0.07000000029802322}]},"quant":{"method":"target_correlated","bits":4,"finetune_epochs":1,"finetune_lr":0.009999999776482582,"regularize_finetune":true}},"fault":{"seed":9,"faults":[{"kind":"bit_flip","rate":0.002},{"kind":"gaussian_noise","fraction":0.019999999552965164},{"kind":"uniform_noise","fraction":0.03999999910593033},{"kind":"prune","fraction":0.25},{"kind":"centroid_jitter","fraction":0.10000000149011612},{"kind":"finetune_drift","strength":0.029999999329447746}]}}"#;
+
+const PINNED_ROSTER: &str = r#"{"name":"tourney_statsign_2bit","dataset":{"kind":"cifar","size":8,"classes":4,"count":160,"seed":5,"rgb":false},"flow":{"seed":7,"arch":"resnet_lite","stage_channels":[12,24],"blocks_per_stage":1,"train_fraction":0.833299994468689,"epochs":4,"batch_size":32,"lr":0.05000000074505806,"lambda_scale":40,"lambda_schedule":"warmup","grouping":{"kind":"uniform","lambda":5},"band":{"kind":"first_n"},"sign":"positive","channel":{"kind":"statsign","lambda":30000},"quant":{"method":"kmeans","bits":2,"finetune_epochs":1,"finetune_lr":0.009999999776482582,"regularize_finetune":true}},"defenses":[{"name":"none","seed":0,"defenses":[]},{"name":"rotation","seed":11,"defenses":[{"kind":"rotation","mode":"permute"}]},{"name":"finetune-scrub","seed":13,"defenses":[{"kind":"finetune_scrub","epochs":1,"lr":0.009999999776482582}]},{"name":"prune-scrub","seed":17,"defenses":[{"kind":"prune_scrub","fraction":0.10000000149011612}]},{"name":"requantize","seed":19,"defenses":[{"kind":"requantize","bits":5}]},{"name":"blend-noise","seed":23,"defenses":[{"kind":"rotation","mode":"qr_blend","strength":0.4000000059604645},{"kind":"noise_weights","fraction":0.10000000149011612}]}]}"#;
+
+// The canonical form is hashed into sweep cell keys, grid spec
+// digests and the serve dedup key: these bytes must never drift.
+#[test]
+fn canonical_json_is_byte_pinned() {
+    for (scenario, pinned) in [
+        (pin_faulted(), PINNED_FAULTED),
+        (pin_roster(), PINNED_ROSTER),
+    ] {
+        assert_eq!(scenario.to_json(), pinned);
+        assert_eq!(Scenario::from_json(pinned).unwrap(), scenario);
     }
 }

@@ -337,8 +337,13 @@ fn typed_errors_for_bad_requests() {
     let (server, addr, cache_dir) = start_server("errors", 1, 0);
 
     // Fault scenarios belong to the harness CLI, not the server.
-    let mut faulted = scenario("faulted", 4601);
-    faulted.fault = Some(qce::FaultPlan::new(11).with(qce::FaultKind::BitFlip { rate: 0.002 }));
+    let clean = scenario("faulted", 4601).to_json();
+    let faulted = Scenario::from_json(&format!(
+        "{},\"fault\":{{\"seed\":11,\"faults\":[{{\"kind\":\"bit_flip\",\"rate\":0.002}}]}}}}",
+        clean.strip_suffix('}').expect("JSON object")
+    ))
+    .expect("faulted scenario");
+    assert!(faulted.fault.is_some());
     let (status, body) = submit(&addr, &faulted, "alice");
     assert_eq!(status, 400);
     let doc = parse(&body).expect("error JSON");

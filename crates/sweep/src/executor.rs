@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use qce::{AttackFlow, FaultedReport, FlowOutcome, StageReport};
+use qce::{AttackFlow, FaultedReport, FlowOutcome};
 use qce_harness::RECOVERY_MAPE_CEILING;
 use qce_serve::queue::WorkQueue;
 use qce_store::codec::{ByteReader, ByteWriter};
@@ -145,14 +145,6 @@ fn run_cell(cell: &Cell, opts: &ExecOptions) -> Result<CellRun> {
     if let Some(cache) = &opts.cache {
         flow = flow.with_cache(cache.clone());
     }
-    // The machine derives its narration level from `config.verbose`;
-    // mirror that for the faulted-evaluation path below.
-    let level = if scenario.flow.verbose {
-        qce_telemetry::Level::Progress
-    } else {
-        qce_telemetry::Level::Debug
-    };
-
     let metrics = match &scenario.fault {
         None => {
             let mut machine = flow.machine(&dataset)?;
@@ -162,21 +154,20 @@ fn run_cell(cell: &Cell, opts: &ExecOptions) -> Result<CellRun> {
             metrics_from_outcome(scenario, &machine.into_outcome()?)
         }
         Some(plan) => {
-            // Select + Train only; the faulted evaluation quantizes and
-            // perturbs internally and is itself cached under a hash
-            // covering the quantizer and the fault plan.
+            // Select + Train only; the probe quantizes and perturbs
+            // internally and is itself cached under a key covering the
+            // quantizer and the plan. `flow.defense` is not applied on
+            // this path (see DESIGN §5k).
             let mut machine = flow.machine(&dataset)?;
             machine.advance()?;
             machine.advance()?;
             let cache_hash = machine.cache_hash();
             let mut trained = machine.into_trained()?;
-            let faulted = trained.evaluate_faulted_cached(
+            let faulted = trained.probe(
                 scenario.flow.quant,
                 plan,
                 format!("fault seed {}", plan.seed()),
-                opts.cache.as_ref(),
-                cache_hash,
-                level,
+                opts.cache.as_ref().map(|cache| (cache, cache_hash)),
             )?;
             metrics_from_faulted(scenario, &faulted)
         }
@@ -198,31 +189,31 @@ fn effective_bits(scenario: &qce_harness::Scenario) -> u32 {
 
 /// Metrics for a clean (or defended) cell, from the finished flow.
 fn metrics_from_outcome(scenario: &qce_harness::Scenario, outcome: &FlowOutcome) -> CellMetrics {
-    let base = |report: &StageReport| CellMetrics {
-        float_accuracy: Some(outcome.pre_quant.accuracy),
+    let float_accuracy = Some(outcome.pre_quant.accuracy);
+    let compression_ratio = outcome.compression_ratio;
+    if let Some(defended) = &outcome.post_defense {
+        return CellMetrics {
+            float_accuracy,
+            compression_ratio,
+            ..metrics_from_faulted(scenario, defended)
+        };
+    }
+    let report = outcome.final_report();
+    CellMetrics {
+        float_accuracy,
         accuracy: report.accuracy,
         images: report.images.len() as u32,
         recovered: report.count_mape_below(RECOVERY_MAPE_CEILING) as u32,
         mean_mape: Some(report.mean_mape()),
         mean_ssim: Some(report.mean_ssim()),
         bits: effective_bits(scenario),
-        compression_ratio: outcome.compression_ratio,
-    };
-    match &outcome.post_defense {
-        None => base(outcome.final_report()),
-        Some(defended) => CellMetrics {
-            accuracy: defended.accuracy,
-            images: defended.images.len() as u32,
-            recovered: defended.recovered_count(RECOVERY_MAPE_CEILING) as u32,
-            mean_mape: defended.mean_mape(),
-            mean_ssim: defended.mean_ssim(),
-            ..base(outcome.final_report())
-        },
+        compression_ratio,
     }
 }
 
-/// Metrics for a faulted cell. The float stage never runs on this path,
-/// so `float_accuracy` and the compression ratio are absent.
+/// Metrics for a probed (faulted) or defended release. A fault cell
+/// never runs the float stage, so `float_accuracy` and the compression
+/// ratio are absent.
 fn metrics_from_faulted(scenario: &qce_harness::Scenario, report: &FaultedReport) -> CellMetrics {
     CellMetrics {
         float_accuracy: None,

@@ -153,7 +153,21 @@ fn load_grid(opts: &Opts) -> Result<Grid, SweepError> {
     let Some(path) = &opts.grid else {
         return Err(SweepError::spec("--grid FILE is required"));
     };
-    parse_grid(&read(path)?)
+    let grid = parse_grid(&read(path)?)?;
+    // Fault cells probe the trained model directly and never run the
+    // defend stage (DESIGN §5k), so a flow defense on them is dropped.
+    let dropped = grid
+        .cells
+        .iter()
+        .filter(|c| c.scenario.fault.is_some() && c.scenario.flow.defense.is_some())
+        .count();
+    if dropped > 0 {
+        eprintln!(
+            "sweep: warning: {dropped} cell(s) set both \"fault\" and a flow \"defense\"; \
+             fault cells report undefended numbers (the defense is not applied)"
+        );
+    }
+    Ok(grid)
 }
 
 fn cmd_expand(args: &[String]) -> Result<ExitCode, SweepError> {

@@ -179,3 +179,76 @@ proptest! {
         prop_assert_eq!(sorted, (0..grid.cells.len()).collect::<Vec<_>>());
     }
 }
+
+// Codec drift guard: the committed frontier grid must still expand to
+// the cell keys of the committed golden report, and so to the same
+// grid spec digest (`fnv1a` over the grid name and every cell key).
+// Cell keys hash `Scenario::to_json`, so any change to the canonical
+// scenario form — fault or defense plans included — fails here rather
+// than only in the CI sweep job.
+#[test]
+fn frontier_grid_expands_to_the_golden_cell_keys_and_spec_digest() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../conformance/sweep");
+    let spec = std::fs::read_to_string(root.join("frontier.json")).expect("frontier grid");
+    let golden = std::fs::read_to_string(root.join("SweepReport.golden.json")).expect("golden");
+    let grid = parse_grid(&spec).expect("grid");
+
+    // The report is release-binary output; scan it for the cell keys
+    // rather than parse it.
+    let golden_keys: Vec<String> = golden
+        .split("\"key\":\"")
+        .skip(1)
+        .map(|rest| rest.split('"').next().expect("cell key").to_string())
+        .collect();
+    assert_eq!(golden_keys.len(), 24);
+    let keys: Vec<String> = grid
+        .cells
+        .iter()
+        .map(|c| format!("{:016x}", c.key))
+        .collect();
+    assert_eq!(keys, golden_keys);
+
+    let mut digest_input = format!("qce-sweep-grid-v1\u{0}{}", grid.name);
+    for key in &golden_keys {
+        digest_input.push('\u{0}');
+        digest_input.push_str(key);
+    }
+    assert_eq!(grid.spec_digest, qce_telemetry::fnv1a(&digest_input));
+    assert_eq!(format!("{:016x}", grid.spec_digest), "1c0786ecc742cf64");
+}
+
+// Plans of both roles validate while the grid expands, naming the cell,
+// so `sweep expand` rejects an out-of-range fault before any training.
+#[test]
+fn out_of_range_plans_fail_grid_expansion_naming_the_cell() {
+    for (axis, bad, needle) in [
+        (
+            "fault",
+            r#"{"seed": 3, "faults": [{"kind": "bit_flip", "rate": 1.5}]}"#,
+            "bit-flip rate 1.5 exceeds 1",
+        ),
+        (
+            "fault",
+            r#"{"seed": 3, "faults": [{"kind": "prune", "fraction": -0.5}]}"#,
+            "non-negative",
+        ),
+        (
+            "defense",
+            r#"{"seed": 1, "defenses": [{"kind": "prune_scrub", "fraction": 2.0}]}"#,
+            "prune fraction 2 outside [0, 1)",
+        ),
+    ] {
+        let spec = format!(
+            r#"{{"name": "bad", "axes": [{{"axis": "bits", "values": [2, 4]}},
+                                       {{"axis": "{axis}", "values": [null, {bad}]}}],
+                 "base": {{"dataset": {{"kind": "cifar", "size": 8, "classes": 2,
+                                        "count": 32, "seed": 5}},
+                           "flow": {{"quant": {{"method": "kmeans", "bits": 4}}}}}}}}"#
+        );
+        let err = parse_grid(&spec).unwrap_err().to_string();
+        assert!(
+            err.contains("cell c0001") && err.contains(needle),
+            "{axis}: {err}"
+        );
+    }
+}

@@ -7,12 +7,10 @@
 //! cargo run --release --example fault_sweep
 //! ```
 
-use qce::{
-    AttackFlow, BandRule, FaultKind, FaultPlan, FlowConfig, Grouping, QuantConfig, QuantMethod,
-    RobustnessReport,
-};
+use qce::{AttackFlow, BandRule, FlowConfig, Grouping, QuantConfig, QuantMethod, RobustnessReport};
 use qce_attack::ImageStatus;
 use qce_data::SynthCifar;
+use qce_defense::{FaultKind, FaultPlan};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dataset = SynthCifar::new(8).classes(4).generate(240, 21)?;
@@ -36,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    panics — this is the scenario a naive decoder aborts on.
     let qcfg = QuantConfig::new(QuantMethod::KMeans, 4);
     let plan = FaultPlan::new(97).with(FaultKind::BitFlip { rate: 0.001 });
-    let faulted = trained.evaluate_faulted(Some(qcfg), &plan, "bitflip 0.1%".to_string())?;
+    let faulted = trained.probe(Some(qcfg), &plan, "bitflip 0.1%".to_string(), None)?;
     println!(
         "faulted release '{}': accuracy {:.3}, decode confidence {:.3}",
         faulted.label, faulted.accuracy, faulted.mean_confidence,

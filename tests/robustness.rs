@@ -1,13 +1,17 @@
 //! Robustness harness integration tests: fault plans on real networks,
-//! resilient decoding on perturbed releases, and the flow-level faulted
-//! evaluation (ISSUE archetype: survive perturbed releases).
+//! resilient decoding on perturbed releases, the flow-level release
+//! probe, and data-holder defenses against a trained attack.
 
 use proptest::prelude::*;
-use qce::faults::{FaultKind, FaultPlan};
-use qce::{AttackFlow, BandRule, FlowConfig, FlowError, Grouping, QuantConfig, QuantMethod};
+use qce::{
+    AttackFlow, BandRule, FlowConfig, FlowError, Grouping, QuantConfig, QuantMethod, TrainedAttack,
+};
 use qce_attack::correlation::SignConvention;
 use qce_attack::{Decoder, EncodingLayout, GroupSpec};
 use qce_data::{Image, SynthCifar};
+use qce_defense::{
+    DefenseContext, DefenseKind, DefensePlan, FaultKind, FaultPlan, Transform, TransformError,
+};
 use qce_nn::models::ResNetLite;
 use qce_nn::Network;
 
@@ -119,12 +123,13 @@ fn fault_plans_are_deterministic_across_networks() {
 #[test]
 fn flow_error_wraps_fault_error_with_source() {
     use std::error::Error;
-    let fault = qce::faults::FaultError::InvalidFault {
-        reason: "rate 2 exceeds 1".to_string(),
-    };
+    let fault = FaultKind::BitFlip { rate: 2.0 }.validate().unwrap_err();
     let flow: FlowError = fault.into();
-    assert!(matches!(flow, FlowError::Faults(_)));
-    assert!(flow.to_string().contains("fault injection"));
+    assert!(matches!(
+        flow,
+        FlowError::Transform(TransformError::Invalid { role: "fault", .. })
+    ));
+    assert!(flow.to_string().contains("invalid fault"));
     assert!(flow.source().unwrap().to_string().contains("rate 2"));
 }
 
@@ -143,11 +148,11 @@ fn faulted_flow_evaluation_returns_partial_results() {
     let plan = FaultPlan::new(97).with(FaultKind::BitFlip { rate: 0.001 });
     let qcfg = QuantConfig::new(QuantMethod::KMeans, 4);
     let faulted = trained
-        .evaluate_faulted(Some(qcfg), &plan, "bitflip".to_string())
+        .probe(Some(qcfg), &plan, "bitflip".to_string(), None)
         .unwrap();
     assert_eq!(faulted.images.len(), clean.images.len());
     assert!(faulted.ok_count() + faulted.degraded_count() > 0);
-    // The faulted evaluation restores the float state afterwards.
+    // The probe restores the float state afterwards.
     let clean2 = trained.float_report().unwrap();
     assert_eq!(clean, clean2);
 
@@ -157,6 +162,89 @@ fn faulted_flow_evaluation_returns_partial_results() {
     assert_eq!(sweep.points.len(), 3);
     assert!(sweep.mape_monotone(5.0), "sweep:\n{}", sweep.summary());
     assert!(sweep.ssim_monotone(0.05), "sweep:\n{}", sweep.summary());
+}
+
+/// A correlation-channel attack trained to a float release, plus its
+/// targets — the subject of the defense checks below.
+fn attacked() -> (TrainedAttack, Vec<Image>) {
+    let dataset = SynthCifar::new(8).classes(4).generate(160, 81).unwrap();
+    let trained = AttackFlow::new(FlowConfig {
+        grouping: Grouping::Uniform(8.0),
+        band: BandRule::FirstN,
+        quant: None,
+        ..FlowConfig::tiny()
+    })
+    .train(&dataset)
+    .unwrap();
+    let targets = trained.targets().to_vec();
+    (trained, targets)
+}
+
+fn decoded_mape(t: &TrainedAttack, targets: &[Image]) -> f32 {
+    let decoded = t.decode_images().unwrap();
+    decoded
+        .iter()
+        .map(|d| qce_metrics::mape(&targets[d.target_index], &d.image))
+        .sum::<f32>()
+        / decoded.len() as f32
+}
+
+/// Applies a one-step defense plan (seed 1) to the released weights.
+fn defend(trained: &mut TrainedAttack, kind: DefenseKind) -> Result<(), TransformError> {
+    DefensePlan::new(1)
+        .with(kind)
+        .apply(trained.network_mut(), &DefenseContext::empty())
+}
+
+#[test]
+fn noise_degrades_decoding_monotonically() {
+    let (mut trained, targets) = attacked();
+    let clean = decoded_mape(&trained, &targets);
+    defend(&mut trained, DefenseKind::NoiseWeights { fraction: 0.2 }).unwrap();
+    let light = decoded_mape(&trained, &targets);
+    trained.restore_float().unwrap();
+    defend(&mut trained, DefenseKind::NoiseWeights { fraction: 1.0 }).unwrap();
+    let heavy = decoded_mape(&trained, &targets);
+    assert!(clean < light, "{clean} !< {light}");
+    assert!(light < heavy, "{light} !< {heavy}");
+}
+
+#[test]
+fn zero_noise_is_identity_and_negative_rejected() {
+    let (mut trained, _) = attacked();
+    let before = trained.network().flat_weights();
+    defend(&mut trained, DefenseKind::NoiseWeights { fraction: 0.0 }).unwrap();
+    assert_eq!(trained.network().flat_weights(), before);
+    assert!(defend(&mut trained, DefenseKind::NoiseWeights { fraction: -0.5 }).is_err());
+}
+
+#[test]
+fn requantize_produces_coarse_weights() {
+    let (mut trained, targets) = attacked();
+    let clean = decoded_mape(&trained, &targets);
+    defend(&mut trained, DefenseKind::Requantize { bits: 3 }).unwrap();
+    let net = trained.network();
+    let flat = net.flat_weights();
+    for slot in net.weight_slots() {
+        let mut levels: Vec<u32> = flat[slot.offset..slot.offset + slot.len]
+            .iter()
+            .map(|w| w.to_bits())
+            .collect();
+        levels.sort_unstable();
+        levels.dedup();
+        assert!(
+            levels.len() <= 8,
+            "slot {} has {} levels",
+            slot.ordinal,
+            levels.len()
+        );
+    }
+    let after = decoded_mape(&trained, &targets);
+    // Defender quantization (ignorant of the pixel histogram) hurts
+    // the decoding more than it would a benign deployment.
+    assert!(after > clean, "{clean} !< {after}");
+    assert!(defend(&mut trained, DefenseKind::Requantize { bits: 0 }).is_err());
+    assert!(defend(&mut trained, DefenseKind::Requantize { bits: 17 }).is_err());
 }
 
 /// Applies a seeded bit-flip + noise plan at the given severity and
